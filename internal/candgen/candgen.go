@@ -554,6 +554,16 @@ func (h *candHeap[K]) Pop() any {
 }
 func (h candHeap[K]) Peek() Candidate[K] { return h[0] }
 
+// offer keeps c if it belongs to the top n seen so far.
+func (h *candHeap[K]) offer(n int, c Candidate[K]) {
+	if len(*h) < n {
+		heap.Push(h, c)
+	} else if c.Gain > h.Peek().Gain {
+		(*h)[0] = c
+		heap.Fix(h, 0)
+	}
+}
+
 // TopByGain scores every candidate with the information-gain estimate
 // (Equation 2.2) and returns the global top n in descending gain order,
 // skipping keys in exclude (already-selected rules) and non-positive gains.
@@ -573,12 +583,7 @@ func TopByGain[K cmp.Ordered](c engine.Backend, candidates *engine.PColl[map[K]c
 			if g <= 0 {
 				continue
 			}
-			if len(h) < n {
-				heap.Push(&h, Candidate[K]{Key: key, Gain: g, Agg: agg})
-			} else if g > h.Peek().Gain {
-				h[0] = Candidate[K]{Key: key, Gain: g, Agg: agg}
-				heap.Fix(&h, 0)
-			}
+			h.offer(n, Candidate[K]{Key: key, Gain: g, Agg: agg})
 		}
 		return h
 	})

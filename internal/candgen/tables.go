@@ -1,7 +1,6 @@
 package candgen
 
 import (
-	"container/heap"
 	"fmt"
 
 	"sirum/internal/cube"
@@ -125,6 +124,21 @@ func lcaIndexedTable(b *engine.TupleBlock, s *Sample, ix *InvertedIndex, p *rule
 	return ops
 }
 
+// matchCount decodes key into buf (returned, possibly regrown) and counts the
+// sample tuples it covers. Zero cannot happen — every candidate generalizes
+// an LCA, hence a sample tuple — so it is reported as corruption.
+func matchCount(s *Sample, codec PackedCodec, key uint64, buf rule.Rule) (int, rule.Rule, error) {
+	r, err := codec.DecodeRule(key, buf)
+	if err != nil {
+		return 0, buf, fmt.Errorf("candgen: corrupt candidate key: %w", err)
+	}
+	mc := s.MatchCount(r)
+	if mc == 0 {
+		return 0, r, fmt.Errorf("candgen: candidate %v covers no sample tuple", r.Clone())
+	}
+	return mc, r, nil
+}
+
 // AdjustTablesForSample applies the Section 3.1.1 fix-up in place: each
 // candidate's aggregates are divided by its sample match count through the
 // tables' mutable walk — no rebuilt collection, unlike the map path.
@@ -134,15 +148,8 @@ func AdjustTablesForSample(c engine.Backend, candidates *engine.PColl[*cube.Pack
 	c.RunStage("candgen/adjust", candidates.NumParts(), func(i int) {
 		buf := make(rule.Rule, codec.NumDims())
 		candidates.Part(i).ForEachPtr(func(key uint64, agg *cube.Agg) bool {
-			r, err := codec.DecodeRule(key, buf)
-			if err != nil {
-				errs[i] = fmt.Errorf("candgen: corrupt candidate key: %w", err)
-				return false
-			}
-			buf = r
-			mc := s.MatchCount(r)
-			if mc == 0 {
-				errs[i] = fmt.Errorf("candgen: candidate %v covers no sample tuple", r.Clone())
+			var mc int
+			if mc, buf, errs[i] = matchCount(s, codec, key, buf); errs[i] != nil {
 				return false
 			}
 			f := float64(mc)
@@ -176,14 +183,75 @@ func TopByGainTables(c engine.Backend, candidates *engine.PColl[*cube.PackedTabl
 			if g <= 0 {
 				return
 			}
-			if len(h) < n {
-				heap.Push(&h, Candidate[uint64]{Key: key, Gain: g, Agg: agg})
-			} else if g > h.Peek().Gain {
-				h[0] = Candidate[uint64]{Key: key, Gain: g, Agg: agg}
-				heap.Fix(&h, 0)
-			}
+			h.offer(n, Candidate[uint64]{Key: key, Gain: g, Agg: agg})
 		})
 		return h
 	})
 	return mergeTopK(tops, n)
+}
+
+// MatchCounts returns, per candidate key, the number of sample tuples the
+// candidate covers — the divisor of the Section 3.1.1 fix-up. It depends on
+// the keys and the sample alone, so a frozen lattice computes it once where
+// AdjustTablesForSample recomputes it every round.
+func MatchCounts(c engine.Backend, keys []uint64, s *Sample, codec PackedCodec) ([]int32, error) {
+	c.Broadcast(s.Bytes())
+	out := make([]int32, len(keys))
+	parts := c.Config().Partitions
+	errs := make([]error, parts)
+	c.RunStage("candgen/adjust", parts, func(i int) {
+		buf := make(rule.Rule, codec.NumDims())
+		lo, hi := engine.SplitRange(len(keys), parts, i)
+		for slot := lo; slot < hi; slot++ {
+			var mc int
+			if mc, buf, errs[i] = matchCount(s, codec, keys[slot], buf); errs[i] != nil {
+				return
+			}
+			out[slot] = int32(mc)
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// SlotCandidates is one round's candidates in the flat layout of a frozen
+// lattice (cube.Lattice): parallel per-slot arrays, of which only SumMhat
+// changes between rounds. Skip, when non-nil, marks slots left out of
+// scoring (redundant ancestors).
+type SlotCandidates struct {
+	Keys                 []uint64
+	SumM, SumMhat, Count []float64
+	Skip                 []bool
+}
+
+// TopByGainSlots is TopByGainTables over a lattice round: contiguous slot
+// ranges stand in for the table partitions, with identical scoring,
+// exclusion and tie-break semantics.
+func TopByGainSlots(c engine.Backend, cands SlotCandidates, n int, exclude map[uint64]bool) []Candidate[uint64] {
+	if n <= 0 {
+		return nil
+	}
+	parts := c.Config().Partitions
+	tops := make([][]Candidate[uint64], parts)
+	c.RunStage("candgen/topk", parts, func(i int) {
+		h := make(candHeap[uint64], 0, n+1)
+		lo, hi := engine.SplitRange(len(cands.Keys), parts, i)
+		for slot := lo; slot < hi; slot++ {
+			key := cands.Keys[slot]
+			if (cands.Skip != nil && cands.Skip[slot]) || exclude[key] {
+				continue
+			}
+			g := maxent.Gain(cands.SumM[slot], cands.SumMhat[slot])
+			if g <= 0 {
+				continue
+			}
+			h.offer(n, Candidate[uint64]{Key: key, Gain: g, Agg: cube.Agg{SumM: cands.SumM[slot], SumMhat: cands.SumMhat[slot], Count: cands.Count[slot]}})
+		}
+		tops[i] = h
+	})
+	return mergeTopK(engine.NewPColl(tops), n)
 }

@@ -31,6 +31,19 @@
 // same backing arrays across all stages and allocates nothing in steady
 // state. All representations produce identical candidate sets; the
 // equivalence tests pin that.
+//
+// All of the above recompute the cube every round, as the paper does. But
+// between rounds — and between queries over one candidate space — only the
+// Σm̂ values change: the candidate keys and which leaf instance feeds which
+// candidate are fixed by the leaf key set. Lattice is the build-once form of
+// that fixed part: a slot per candidate and, per attribute, an edge list from
+// each key holding a constant there to the key with it wildcarded.
+// BuildLattice pays one hash per edge, once; Lattice.Propagate then replays a
+// round as a single in-place pass of additions over a per-query vector — no
+// hashing, shuffle or merge. A prepared session (miner.Prep) keeps one per
+// candidate space, dropped with the prepared state, at 8 bytes per slot for
+// the key, 8 per edge and 8–16 per slot of key index; the per-round pipeline
+// remains for cold runs, string keys and spaces past the entry budget.
 package cube
 
 import (

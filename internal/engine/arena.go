@@ -157,10 +157,13 @@ func ReleaseScratch(b Backend, s Scratch) {
 	}
 }
 
-// borrowColumn resolves the arena for b: query scopes borrow from their
-// backend's arena (tracked, returned on Finish); a bare backend — cold runs
-// that fork once and drop everything with the substrate — just allocates.
-func borrowColumn(b Backend, n int) []float64 {
+// BorrowColumn returns a length-n float64 column with unspecified contents.
+// Query scopes borrow from their backend's arena (tracked, returned on
+// Finish, so the column must not outlive the query); a bare backend — cold
+// runs that fork once and drop everything with the substrate — just
+// allocates. Forks take their estimate columns here, lattice replays their
+// per-query Σm̂ vector.
+func BorrowColumn(b Backend, n int) []float64 {
 	if s, ok := b.(*QueryScope); ok {
 		return s.borrowColumn(n)
 	}

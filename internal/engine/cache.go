@@ -334,7 +334,7 @@ func (cd *CachedData) Fork(b Backend) (*CachedData, error) {
 		if err != nil {
 			return nil, err
 		}
-		mhat := borrowColumn(b, src.NumRows())
+		mhat := BorrowColumn(b, src.NumRows())
 		FillFloat64(mhat, 1)
 		blocks[i] = &TupleBlock{Start: src.Start, Dims: src.Dims, M: src.M, Mhat: mhat}
 		cd.Release(i)

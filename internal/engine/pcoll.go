@@ -263,3 +263,10 @@ func mix64(x uint64) uint64 {
 	x ^= x >> 33
 	return x
 }
+
+// SplitRange returns the i-th of parts near-even contiguous sub-ranges of
+// [0, n): the task ranges of a stage that walks a flat array instead of a
+// partitioned collection.
+func SplitRange(n, parts, i int) (lo, hi int) {
+	return i * n / parts, (i + 1) * n / parts
+}

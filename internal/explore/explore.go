@@ -5,16 +5,19 @@
 // recommends the k rules carrying the most information beyond what the
 // analyst has seen.
 //
-// Exploration mines without sample pruning, so every run walks the full
-// exhaustive cube — the heaviest pipeline in the repository. On packable
-// schemas the miner runs it over arena-recycled cube.PackedTables (flat
-// open-addressing round state instead of per-stage Go maps), which is what
-// keeps a prepared session's repeated explores allocation-free in steady
-// state; see the cube package doc.
+// Exploration mines without sample pruning, so a cold run walks the full
+// exhaustive cube every round — the heaviest pipeline in the repository. On
+// packable schemas the miner runs it over arena-recycled cube.PackedTables
+// (flat open-addressing round state instead of per-stage Go maps). A
+// prepared session (RunPrepared) walks it once: the first explore freezes the
+// exhaustive candidate lattice and every later round, of any explore, replays
+// it; see miner.Prep and the cube package doc.
 package explore
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"sirum/internal/dataset"
 	"sirum/internal/engine"
@@ -52,7 +55,11 @@ type Recommendation struct {
 
 // PriorKnowledge derives the prior rule list: for each of the n
 // lowest-cardinality dimension attributes, every cell of its single-
-// attribute group-by (one rule per active domain value).
+// attribute group-by (one rule per active domain value), cells in value
+// order. Dictionary codes follow the order rows were ingested in, and the
+// miner fits prior rules one after another, so listing cells by code would
+// let a permutation of the same rows change the scaling path — the loop
+// count, hence the run time, by a quarter, and KL in the sixth digit.
 func PriorKnowledge(ds *dataset.Dataset, n int) []rule.Rule {
 	order := ds.DimsByDomainSize()
 	if n > len(order) {
@@ -60,9 +67,15 @@ func PriorKnowledge(ds *dataset.Dataset, n int) []rule.Rule {
 	}
 	var rules []rule.Rule
 	for _, j := range order[:n] {
-		for v := 0; v < ds.Dicts[j].Size(); v++ {
+		values := ds.Dicts[j].Values()
+		codes := make([]int32, len(values))
+		for v := range codes {
+			codes[v] = int32(v)
+		}
+		slices.SortFunc(codes, func(a, b int32) int { return strings.Compare(values[a], values[b]) })
+		for _, v := range codes {
 			r := rule.AllWildcards(ds.NumDims())
-			r[j] = int32(v)
+			r[j] = v
 			if r.SupportSize(ds) == 0 {
 				continue // dictionary value absent from this subset
 			}

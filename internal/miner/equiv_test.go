@@ -32,7 +32,6 @@ func TestPackedStringMinerEquivalenceConcurrent(t *testing.T) {
 	}
 	defer str.Drop()
 	str.packer = nil // force the string-key fallback
-	str.memo = nil
 
 	for _, opt := range []Options{
 		{Variant: Optimized, K: 4, SampleSize: 16, Seed: 9},

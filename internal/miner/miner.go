@@ -80,6 +80,15 @@ type query[K cmp.Ordered] struct {
 	sample *candgen.Sample
 	index  *candgen.InvertedIndex
 	memo   *lcaMemo[K] // non-nil when cross-iteration LCA reuse applies
+
+	// Lattice replay (packed keys only). space is where the query's lattice
+	// comes from — a shared space of the Prep, or a private one for a sample
+	// of the query's own — and nil when it mines without one. The two vectors
+	// are borrowed from the scope's arena on first use and live for the query.
+	space    *candSpace
+	lat      *lattice
+	sumMhat  []float64 // per lattice slot: this round's Σm̂
+	leafMhat []float64 // per memo leaf key: this round's per-block Σm̂
 }
 
 // timed charges f's durations to the query's registry.
@@ -298,12 +307,13 @@ func newQuery[K cmp.Ordered](p *Prep, qc engine.Backend, opt Options, codec cand
 		return nil, err
 	}
 
-	if p.memoEligible(opt, q.sample) {
+	q.space = p.sharedSpace(q.sample)
+	if q.space != nil && p.memoFits(q.sample) {
 		// The first query pays the build (it replaces that query's first
 		// LCA round, so it is charged as candidate pruning); later queries
 		// get it for free.
 		err := q.timed(metrics.PhaseCandPruning, func() error {
-			memo, err := memoFor(p, q)
+			memo, err := memoFor(q.space, q)
 			q.memo = memo
 			return err
 		})
@@ -312,17 +322,24 @@ func newQuery[K cmp.Ordered](p *Prep, qc engine.Backend, opt Options, codec cand
 			return nil, err
 		}
 	}
+	if p.packer == nil {
+		q.space = nil // lattices are keyed by packed words
+	} else if q.space == nil && !p.opt.DisableLCAMemo {
+		q.space = new(candSpace) // the query's own sample: freeze in round 1, replay after
+	}
 	return q, nil
 }
 
 // candSet carries one round's candidate aggregates in whichever container
 // the key representation produced: per-partition maps on the general path,
-// arena-recycled PackedTables on the packed path. Exactly one field is
-// non-nil. Callers release the set once its entries are consumed so the next
-// iteration reuses the tables' backing arrays (a no-op for maps).
+// arena-recycled PackedTables on the packed path, and views of the frozen
+// lattice's arrays when the round was a replay. Exactly one field is non-nil.
+// Callers release the set once its entries are consumed so the next iteration
+// reuses the tables' backing arrays (a no-op otherwise).
 type candSet[K cmp.Ordered] struct {
 	maps   *engine.PColl[map[K]cube.Agg]
 	tables *engine.PColl[*cube.PackedTable]
+	slots  *candgen.SlotCandidates
 }
 
 // release returns table partitions to the backend arena.
@@ -403,45 +420,81 @@ func (q *query[K]) generateCandidates(groups [][]int) (candSet[K], int64, error)
 	return candSet[K]{maps: cands}, n, nil
 }
 
-// generateTableCandidates is the packed-key round over arena-recycled flat
-// tables: leaf instances (memoized, LCA or exhaustive) land in borrowed
-// PackedTables, the cube runs table-native (cube.ComputeTables), and the
-// sample fix-up mutates aggregates in place. Each intermediate collection is
-// released the moment it is consumed, so a query's iterations cycle the same
-// backing arrays through the arena instead of allocating the candidate
+// generateTableCandidates is the packed-key round. With a frozen lattice
+// (see lattice) it only gathers the leaves' Σm̂ and replays the edges; the
+// round that finds the lattice missing builds it first and then reads its
+// own candidates through the same replay. Otherwise — reuse disabled, or a
+// lattice past memoMaxEntries — it runs the per-round pipeline over arena-
+// recycled flat tables: leaf instances (memoized, LCA or exhaustive) land in
+// borrowed PackedTables, the cube runs table-native (cube.ComputeTables), and
+// the sample fix-up mutates aggregates in place. Each intermediate collection
+// is released the moment it is consumed, so a query's iterations cycle the
+// same backing arrays through the arena instead of allocating the candidate
 // universe per stage.
 func (q *query[K]) generateTableCandidates(pc candgen.PackedCodec, groups [][]int) (candSet[K], int64, error) {
-	var lcas *engine.PColl[*cube.PackedTable]
 	wallStart := time.Now()
 	simStart := q.c.SimTime()
-	err := q.timed(metrics.PhaseCandPruning, func() error {
-		var err error
-		switch {
-		case q.memo != nil:
-			// Prepared fast path: the candidate keys, support sums and row
-			// coverage are Mhat-independent, so only the estimate sums are
-			// recomputed from this query's fork.
-			m, ok := any(q.memo).(*lcaMemo[uint64])
-			if !ok {
-				return fmt.Errorf("miner: internal: LCA memo key representation mismatch")
-			}
-			lcas, err = memoTableParts(m, q.c, q.data)
-		case q.sample != nil:
-			if q.opt.useShuffleJoin() {
-				q.c.Repartition(q.p.dataBytes, 0)
-			}
-			lcas, err = pc.LCATables(q.c, q.data, q.sample, q.opt.useIndex(), q.index)
-		default:
-			lcas, err = pc.ExhaustiveTables(q.c, q.data)
+	// Tables only exist on the packed path, where K is uint64.
+	memo, _ := any(q.memo).(*lcaMemo[uint64])
+	if q.lat == nil && q.space != nil && memo != nil {
+		if err := q.acquireLattice(pc, memo, nil); err != nil {
+			return candSet[K]{}, 0, err
 		}
-		return err
-	})
+	}
+
+	var lcas *engine.PColl[*cube.PackedTable]
+	if q.lat == nil || q.lat.memo == nil {
+		err := q.timed(metrics.PhaseCandPruning, func() error {
+			var err error
+			switch {
+			case memo != nil:
+				// The candidate keys, support sums and row coverage are
+				// Mhat-independent, so only the estimate sums are recomputed
+				// from this query's fork.
+				lcas, err = memoTableParts(memo, q.c, q.data)
+			case q.sample != nil:
+				if q.opt.useShuffleJoin() {
+					q.c.Repartition(q.p.dataBytes, 0)
+				}
+				lcas, err = pc.LCATables(q.c, q.data, q.sample, q.opt.useIndex(), q.index)
+			default:
+				lcas, err = pc.ExhaustiveTables(q.c, q.data)
+			}
+			return err
+		})
+		if err != nil {
+			return candSet[K]{}, 0, err
+		}
+		if q.lat == nil && q.space != nil {
+			if err := q.acquireLattice(pc, nil, lcas); err != nil {
+				cube.ReleaseTables(q.c, lcas)
+				return candSet[K]{}, 0, err
+			}
+		}
+	}
+
+	var cs candSet[K]
+	var n int64
+	var err error
+	if q.lat != nil {
+		cs, n, err = q.replayRound(pc, lcas)
+	} else {
+		cs, n, err = q.computeRound(pc, groups, lcas)
+	}
 	if err != nil {
 		return candSet[K]{}, 0, err
 	}
+	q.c.Reg().Add(metrics.CtrCandidates, n)
+	q.c.Reg().AddPhase(metrics.PhaseRuleGen, time.Since(wallStart))
+	q.c.Reg().AddSimPhase(metrics.PhaseRuleGen, q.c.SimTime()-simStart)
+	return cs, n, nil
+}
 
+// computeRound is the per-round cube and fix-up over this round's leaf
+// tables, which it consumes.
+func (q *query[K]) computeRound(pc candgen.PackedCodec, groups [][]int, lcas *engine.PColl[*cube.PackedTable]) (candSet[K], int64, error) {
 	var cands *engine.PColl[*cube.PackedTable]
-	err = q.timed(metrics.PhaseAncestorGen, func() error {
+	err := q.timed(metrics.PhaseAncestorGen, func() error {
 		var err error
 		cands, err = cube.ComputeTables(q.c, lcas, pc.PackedKeys, groups)
 		return err
@@ -472,11 +525,7 @@ func (q *query[K]) generateTableCandidates(pc candgen.PackedCodec, groups [][]in
 		cube.ReleaseTables(q.c, cands)
 		return candSet[K]{}, 0, err
 	}
-	n := cube.CountTableCandidates(q.c, cands)
-	q.c.Reg().Add(metrics.CtrCandidates, n)
-	q.c.Reg().AddPhase(metrics.PhaseRuleGen, time.Since(wallStart))
-	q.c.Reg().AddSimPhase(metrics.PhaseRuleGen, q.c.SimTime()-simStart)
-	return candSet[K]{tables: cands}, n, nil
+	return candSet[K]{tables: cands}, cube.CountTableCandidates(q.c, cands), nil
 }
 
 // selectRules picks up to l rules for this iteration: the top candidate by
@@ -485,11 +534,15 @@ func (q *query[K]) generateTableCandidates(pc candgen.PackedCodec, groups [][]in
 // candidates, and gain at least MinGainRatio of the top gain (Section 4.4).
 func (q *query[K]) selectRules(cands candSet[K], total int64, selected map[K]bool, l int) ([]candgen.Candidate[K], error) {
 	var pool []candgen.Candidate[K]
-	if cands.tables != nil {
-		// Tables only exist on the packed path, where K is uint64.
+	switch {
+	case cands.slots != nil:
+		// Slots and tables only exist on the packed path, where K is uint64.
+		top := candgen.TopByGainSlots(q.c, *cands.slots, q.opt.TopPoolSize, any(selected).(map[uint64]bool))
+		pool = any(top).([]candgen.Candidate[K])
+	case cands.tables != nil:
 		top := candgen.TopByGainTables(q.c, cands.tables, q.opt.TopPoolSize, any(selected).(map[uint64]bool))
 		pool = any(top).([]candgen.Candidate[K])
-	} else {
+	default:
 		pool = candgen.TopByGain(q.c, cands.maps, q.opt.TopPoolSize, selected)
 	}
 	if len(pool) == 0 {

@@ -5,6 +5,15 @@
 // (column-grouped ancestor generation), Multi-rule (several disjoint rules
 // per iteration) and Optimized (all of the above) — plus SIRUM on sample
 // data (Section 4.5) and the extensions listed in DESIGN.md §5.
+//
+// A cold run (Miner.Run) executes the paper's per-iteration work profile:
+// every greedy round recomputes candidate pruning, the cube and the sample
+// fix-up. A prepared session (Prep) instead builds the estimate-independent
+// part of rule generation once per candidate space — the leaf memo and, on
+// packed schemas, the frozen lattice (lattice.go, cube.Lattice) — and every
+// round of every query only gathers leaf Σm̂ and replays the lattice's edges.
+// See Prep for what is shared, what invalidates it and what it costs;
+// PrepOptions.DisableLCAMemo switches all of it off.
 package miner
 
 import (

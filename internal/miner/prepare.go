@@ -31,11 +31,12 @@ type PrepOptions struct {
 	// SampleFraction, in (0,1), prepares a Bernoulli sample of the data
 	// instead of the data itself (SIRUM on sample data, Section 4.5).
 	SampleFraction float64
-	// DisableLCAMemo turns off the cross-iteration/cross-query reuse of the
-	// estimate-independent LCA aggregates, restoring the paper-faithful
-	// behaviour of recomputing candidate pruning on every iteration. The
-	// experiments that compare pruning strategies by time need it off;
-	// serving sessions want it on (the default).
+	// DisableLCAMemo turns off the cross-iteration/cross-query reuse of
+	// everything estimate-independent — the LCA leaf memo and the frozen
+	// candidate lattice above it — restoring the paper-faithful behaviour of
+	// recomputing candidate pruning and the cube on every iteration. The
+	// experiments that compare strategies by time need it off; serving
+	// sessions want it on (the default).
 	DisableLCAMemo bool
 }
 
@@ -46,10 +47,12 @@ func (o PrepOptions) withDefaults() PrepOptions {
 	return o
 }
 
-// memoMaxEntries caps the LCA memo's row-incidence count (one int32 each):
-// beyond it the memo would rival the data in size, so queries fall back to
-// per-iteration recomputation.
-const memoMaxEntries = 32 << 20
+// memoMaxEntries caps what a candidate space may keep between rounds: the
+// LCA memo's row-incidence count (one int32 each) and, separately, the frozen
+// lattice's slots plus edges. Beyond it the state would rival the data in
+// size, so queries fall back to per-iteration recomputation. A variable only
+// so tests can lower it.
+var memoMaxEntries = 32 << 20
 
 // prepSeq names prepared datasets uniquely in the backend's pool.
 var prepSeq atomic.Int64
@@ -57,10 +60,32 @@ var prepSeq atomic.Int64
 // Prep is the prepare-once state of a mining session over one dataset on
 // one (possibly shared) backend: the measure transform, the partitioned
 // blocks cached in the backend's pool, the pruning sample with its inverted
-// index, and (lazily) the memoized LCA structure. Many queries — Mine with
-// different K, variants, priors — run against one Prep concurrently: all
-// prepared state is immutable after construction, and every query works on
-// a private fork of the estimate columns with a private metrics scope.
+// index, and (lazily) everything about rule generation that does not depend
+// on the estimates. Many queries — Mine with different K, variants, priors —
+// run against one Prep concurrently: all prepared state is immutable after
+// construction, and every query works on a private fork of the estimate
+// columns with a private metrics scope.
+//
+// Build once, replay every round. A candidate space — the LCAs of the
+// prepared sample, or, for exhaustive queries, the data tuples themselves —
+// fixes the candidate keys, their Σm, counts and sample match counts, and
+// which leaf feeds which candidate; only Σm̂ moves. The first query over a
+// space builds its leaf memo (covered rows per leaf key) and, on schemas
+// that pack into 64-bit keys, the frozen lattice above it (see lattice and
+// cube.Lattice); that query's remaining rounds and every later query only
+// gather leaf Σm̂ from their own fork and add along the lattice's edges. The
+// two shared spaces are independent, so a session prepared with a sample
+// still shares the exhaustive lattice between its Explore queries. A query
+// that brings its own sample builds a private lattice in its first round
+// and replays it for the rest. Drop releases both spaces (an Append replaces
+// the Prep, so grown data never sees a stale lattice); nothing is built
+// inside Prepare itself.
+//
+// A lattice holds about 28 bytes per candidate (key, Σm, count, match
+// count), 8 per edge and 8–16 per candidate of key index, and each in-flight
+// query borrows one 8-byte-per-candidate Σm̂ vector from the backend arena.
+// A space whose lattice would pass memoMaxEntries slots plus edges keeps the
+// per-round pipeline, as does everything under DisableLCAMemo.
 type Prep struct {
 	c    engine.Backend
 	ds   *dataset.Dataset // the data queries run against (the Bernoulli sample if SampleFraction is set)
@@ -80,9 +105,15 @@ type Prep struct {
 
 	loadMu sync.Mutex // serializes (re)loading the blocks into the pool
 
-	memoMu sync.Mutex
-	memo   any // *lcaMemo[K] in the representation mineScoped selects
+	// spaces holds the build-once state of the candidate spaces queries can
+	// share, indexed by spaceSample and spaceExhaustive.
+	spaces [2]candSpace
 }
+
+const (
+	spaceSample     = iota // LCAs of the prepared pruning sample
+	spaceExhaustive        // every data tuple; independent of any sample
+)
 
 // Prepare runs the preparation phase on c: measure transform, optional
 // Bernoulli data sample, pruning sample + inverted index, and the block load
@@ -179,13 +210,14 @@ func (p *Prep) Mine(opt Options) (*Result, error) {
 	return p.mineScoped(qc, opt.withDefaults(), time.Now(), qc.SimTime())
 }
 
-// Drop releases the pooled blocks and the memo. Queries already in flight
-// finish (they hold forks); later queries re-prepare on demand.
+// Drop releases the pooled blocks and every candidate space's memo and
+// lattice. Queries already in flight finish (they hold forks and their
+// lattice); later queries re-prepare on demand.
 func (p *Prep) Drop() {
 	p.c.Pool().Remove(p.poolID)
-	p.memoMu.Lock()
-	p.memo = nil
-	p.memoMu.Unlock()
+	for i := range p.spaces {
+		p.spaces[i].drop()
+	}
 }
 
 // ensureData returns the canonical cached blocks with a pool reference held
@@ -213,50 +245,55 @@ func (p *Prep) ensureData(qc engine.Backend) (*engine.CachedData, func(), error)
 	return data, ref.Release, nil
 }
 
-// memoEligible reports whether the prepared LCA memo may serve this query:
-// memoization on, the query uses the prepared candidate space, and the memo
-// would not dwarf the data.
-func (p *Prep) memoEligible(opt Options, sample *candgen.Sample) bool {
-	if p.opt.DisableLCAMemo {
-		return false
+// sharedSpace returns the prepared candidate space a query with the given
+// resolved sample draws from, or nil when it shares none: reuse is off, or
+// the sample is the query's own.
+func (p *Prep) sharedSpace(sample *candgen.Sample) *candSpace {
+	switch {
+	case p.opt.DisableLCAMemo:
+		return nil
+	case sample == nil:
+		return &p.spaces[spaceExhaustive]
+	case sample == p.sample:
+		return &p.spaces[spaceSample]
 	}
-	if opt.SampleSize != p.opt.SampleSize {
-		return false
-	}
-	if p.sample != nil {
-		if sample != p.sample {
-			return false
-		}
-		if int64(p.sample.Size())*int64(p.ds.NumRows()) > memoMaxEntries {
-			return false
-		}
-	} else if int64(p.ds.NumRows()) > memoMaxEntries {
-		// Exhaustive memo: one incidence per row plus one key per distinct
-		// tuple — the same cap applies.
-		return false
-	}
-	return true
+	return nil
 }
 
-// memoFor returns the shared LCA memo, building it from q's fork on first
+// memoFits reports whether the leaf memo over the given sample's space (the
+// exhaustive one when nil) stays under memoMaxEntries row incidences: one
+// per row, times the sample size when LCAs are taken.
+func (p *Prep) memoFits(sample *candgen.Sample) bool {
+	incidences := int64(p.ds.NumRows())
+	if sample != nil {
+		incidences *= int64(sample.Size())
+	}
+	return incidences <= int64(memoMaxEntries)
+}
+
+// memoFor returns the space's LCA memo, building it from q's fork on first
 // use (one builder at a time; concurrent first queries wait). The memo is
 // keyed in the representation mineScoped selects; that choice is a function
 // of the prepared dataset, so every query of one Prep agrees on K.
-func memoFor[K cmp.Ordered](p *Prep, q *query[K]) (*lcaMemo[K], error) {
-	p.memoMu.Lock()
-	defer p.memoMu.Unlock()
-	if p.memo != nil {
-		m, ok := p.memo.(*lcaMemo[K])
+func memoFor[K cmp.Ordered](sp *candSpace, q *query[K]) (*lcaMemo[K], error) {
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	if sp.memo != nil {
+		m, ok := sp.memo.(*lcaMemo[K])
 		if !ok {
 			return nil, fmt.Errorf("miner: internal: LCA memo key representation mismatch")
 		}
 		return m, nil
 	}
-	memo, err := buildLCAMemo(q.c, q.data, p.sample, p.indexFor(), q.codec)
+	var ix *candgen.InvertedIndex
+	if q.sample != nil {
+		ix = q.p.indexFor() // a shared space's sample is the prepared one
+	}
+	memo, err := buildLCAMemo(q.c, q.data, q.sample, ix, q.codec)
 	if err != nil {
 		return nil, err
 	}
-	p.memo = memo
+	sp.memo = memo
 	return memo, nil
 }
 
@@ -277,6 +314,16 @@ type lcaMemoBlock[K cmp.Ordered] struct {
 	count    []float64
 	rowStart []int32 // CSR offsets into rows, len(keys)+1
 	rows     []int32 // block-local row ids, one per (row, sample) incidence
+}
+
+// sumMhat sums a block's estimate column over key ki's covered rows, in
+// ascending row order — the one m̂-dependent step of every memoized round.
+func (mb *lcaMemoBlock[K]) sumMhat(ki int, mhat []float64) float64 {
+	var sm float64
+	for _, r := range mb.rows[mb.rowStart[ki]:mb.rowStart[ki+1]] {
+		sm += mhat[r]
+	}
+	return sm
 }
 
 // buildLCAMemo scans the data once, producing the same per-block key sets as
@@ -333,11 +380,7 @@ func memoTableParts(m *lcaMemo[uint64], c engine.Backend, data *engine.CachedDat
 		mb := &m.blocks[bi]
 		local := cube.BorrowTable(c, len(mb.keys))
 		for ki, k := range mb.keys {
-			var sm float64
-			for _, r := range mb.rows[mb.rowStart[ki]:mb.rowStart[ki+1]] {
-				sm += b.Mhat[r]
-			}
-			local.Add(k, cube.Agg{SumM: mb.sumM[ki], SumMhat: sm, Count: mb.count[ki]})
+			local.Add(k, cube.Agg{SumM: mb.sumM[ki], SumMhat: mb.sumMhat(ki, b.Mhat), Count: mb.count[ki]})
 		}
 		out[bi] = local
 	})
@@ -356,11 +399,7 @@ func (m *lcaMemo[K]) parts(c engine.Backend, data *engine.CachedData) (*engine.P
 		mb := &m.blocks[bi]
 		local := make(map[K]cube.Agg, len(mb.keys))
 		for ki, k := range mb.keys {
-			var sm float64
-			for _, r := range mb.rows[mb.rowStart[ki]:mb.rowStart[ki+1]] {
-				sm += b.Mhat[r]
-			}
-			local[k] = cube.Agg{SumM: mb.sumM[ki], SumMhat: sm, Count: mb.count[ki]}
+			local[k] = cube.Agg{SumM: mb.sumM[ki], SumMhat: mb.sumMhat(ki, b.Mhat), Count: mb.count[ki]}
 		}
 		out[bi] = local
 	})

@@ -3,6 +3,7 @@ package miner
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"sirum/internal/bitset"
 	"sirum/internal/engine"
@@ -356,9 +357,17 @@ func (s *rctDistScaler) productOf(ba []uint64) float64 {
 
 // scaleRCT is the driver-side Algorithm 3 loop over the merged RCT.
 func (s *rctDistScaler) scaleRCT(rct map[string]*rctAgg) error {
-	rows := make([]*rctAgg, 0, len(rct))
-	for _, row := range rct {
-		rows = append(rows, row)
+	// Rows in coverage-signature order, not map order: the per-rule sums
+	// below then add in one order every run, so equal queries scale along
+	// the same path and converge to the same bits.
+	keys := make([]string, 0, len(rct))
+	for key := range rct {
+		keys = append(keys, key)
+	}
+	slices.Sort(keys)
+	rows := make([]*rctAgg, len(keys))
+	for i, key := range keys {
+		rows[i] = rct[key]
 	}
 	nr := len(s.rules)
 	for loop := 0; loop < s.maxLoops; loop++ {

@@ -2,6 +2,7 @@ package sirum
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
@@ -419,5 +420,174 @@ func TestPreparedSpecsAndEpoch(t *testing.T) {
 	}
 	if st := p.Stats(); st.Epoch != 1 || st.Fingerprint == "" {
 		t.Errorf("stats = epoch %d fingerprint %q, want epoch 1 and a fingerprint", st.Epoch, st.Fingerprint)
+	}
+}
+
+// TestPreparedExploreSharesExhaustiveLattice is the regression test for the
+// candidate-space keying of prepared state: a session prepared with a pruning
+// sample used to share nothing between its exhaustive queries (the memo was
+// refused for any SampleSize but the prepared one), so every Explore re-ran
+// the whole cube. Now the exhaustive space has its own build-once state: the
+// second Explore moves no candidate through a shuffle, runs a fraction of the
+// cold run's stages, and answers exactly what the first did.
+func TestPreparedExploreSharesExhaustiveLattice(t *testing.T) {
+	ds, err := Generate("income", 1500, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := ExploreOptions{K: 3, GroupBys: 1}
+	cold, err := ds.Explore(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := ds.Prepare(PrepareOptions{SampleSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	first, err := p.Explore(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := p.Explore(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameResult(t, "second explore", cold.Result, second.Result)
+	if !reflect.DeepEqual(first.Result.Rules, second.Result.Rules) || first.Result.KL != second.Result.KL {
+		t.Errorf("builder and replayer answer differently:\n%v %v\n%v %v", first.Result.Rules, first.Result.KL, second.Result.Rules, second.Result.KL)
+	}
+	ctr, coldCtr := second.Result.Metrics.Counters, cold.Result.Metrics.Counters
+	if ctr["candidates"] == 0 || ctr["candidates"] != coldCtr["candidates"] {
+		t.Errorf("candidates = %d, cold run %d", ctr["candidates"], coldCtr["candidates"])
+	}
+	// The cube shuffles every candidate at least once a round; what is left
+	// is the scaler's coverage-table rows.
+	if coldCtr["shuffle_records"] < coldCtr["candidates"] {
+		t.Fatalf("cold run shuffled %d records for %d candidates; the check below proves nothing", coldCtr["shuffle_records"], coldCtr["candidates"])
+	}
+	if ctr["shuffle_records"] >= ctr["candidates"] {
+		t.Errorf("second explore shuffled %d records for %d candidates: the cube ran again", ctr["shuffle_records"], ctr["candidates"])
+	}
+	// Per round the cube is a key-partition exchange plus map, exchange and
+	// merge per column group, on top of the leaf scan — seven stages at the
+	// least; the replay is the leaf gather and one pass over the edges.
+	if saved := coldCtr["stages"] - ctr["stages"]; saved < 5*int64(second.Result.Iterations) {
+		t.Errorf("second explore ran %d stages over %d rounds, cold run %d: more than the replay's", ctr["stages"], second.Result.Iterations, coldCtr["stages"])
+	}
+	if ctr["pairs_emitted"] == 0 {
+		t.Error("replayed edges are not counted as emissions")
+	}
+}
+
+// TestPreparedAppendRebuildsLattices: an Append replaces the prepared state,
+// so no lattice frozen over the old data — or the old dictionaries: this
+// batch's new value widens a key field — is replayed afterwards. Every rule
+// returned after the Append must hold against a scan of all the rows.
+func TestPreparedAppendRebuildsLattices(t *testing.T) {
+	dims := []string{"a", "b", "c", "d"}
+	type row struct {
+		vals []string
+		m    float64
+	}
+	var rows []row
+	gen := func(n int, seed int64, aVals []string, lift float64) *Dataset {
+		r := rand.New(rand.NewSource(seed))
+		b := NewBuilder(dims, "m")
+		for i := 0; i < n; i++ {
+			vals := []string{
+				aVals[r.Intn(len(aVals))],
+				fmt.Sprintf("b%d", r.Intn(4)),
+				fmt.Sprintf("c%d", r.Intn(3)),
+				fmt.Sprintf("d%d", r.Intn(5)),
+			}
+			m := float64(r.Intn(20))
+			if vals[1] == "b2" {
+				m += 15
+			}
+			if vals[0] == "a-new" {
+				m += lift
+			}
+			if err := b.Add(vals, m); err != nil {
+				t.Fatal(err)
+			}
+			rows = append(rows, row{vals, m})
+		}
+		ds, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ds
+	}
+	scan := func(r Rule) (count int64, avg float64) {
+		var sum float64
+	rows:
+		for _, rw := range rows {
+			for _, c := range r.Conditions {
+				for j, name := range dims {
+					if name == c.Attr && rw.vals[j] != c.Value {
+						continue rows
+					}
+				}
+			}
+			count++
+			sum += rw.m
+		}
+		return count, sum / float64(count)
+	}
+	check := func(label string, rules []Rule) {
+		t.Helper()
+		if len(rules) == 0 {
+			t.Fatalf("%s: no rules", label)
+		}
+		for _, r := range rules {
+			count, avg := scan(r)
+			if count != r.Count || relErr(avg, r.Avg) > 1e-9 {
+				t.Errorf("%s: rule %s reports count %d avg %v, the rows say %d and %v", label, r, r.Count, r.Avg, count, avg)
+			}
+		}
+	}
+	mentions := func(rules []Rule, value string) bool {
+		for _, r := range rules {
+			for _, c := range r.Conditions {
+				if c.Value == value {
+					return true
+				}
+			}
+		}
+		return false
+	}
+
+	p, err := gen(600, 1, []string{"a0", "a1", "a2"}, 0).Prepare(PrepareOptions{SampleSize: 16, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	mine, explore := Options{K: 4, SampleSize: 16, Seed: 2}, ExploreOptions{K: 3, GroupBys: 1}
+	query := func(label string) (mined *Result, explored *ExploreResult) {
+		t.Helper()
+		for pass := 0; pass < 2; pass++ { // build, then replay
+			var err error
+			if mined, err = p.Mine(mine); err != nil {
+				t.Fatal(err)
+			}
+			if explored, err = p.Explore(explore); err != nil {
+				t.Fatal(err)
+			}
+			check(label+" mine", mined.Rules)
+			check(label+" explore", explored.Result.Rules)
+			check(label+" prior", explored.Prior)
+		}
+		return mined, explored
+	}
+	query("before append")
+
+	// The fourth value of "a" takes its field from 2 bits to 3.
+	if _, err := p.Append(gen(300, 2, []string{"a0", "a1", "a2", "a-new"}, 60), mine); err != nil {
+		t.Fatal(err)
+	}
+	mined, explored := query("after append")
+	if !mentions(mined.Rules, "a-new") || !mentions(explored.Result.Rules, "a-new") {
+		t.Errorf("the appended value dominates the grown data but no rule names it:\n%v\n%v", mined.Rules, explored.Result.Rules)
 	}
 }

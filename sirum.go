@@ -500,7 +500,8 @@ func (o ExploreOptions) Canonical() spec.QuerySpec {
 }
 
 // ExploreResult carries the recommendations plus the prior the analyst is
-// assumed to know.
+// assumed to know: per examined group-by (smallest domain first) its cells
+// in value order, whatever order the rows arrived in.
 type ExploreResult struct {
 	Prior  []Rule
 	Result *Result
