@@ -96,8 +96,7 @@ func BenchmarkAblationRedundant(b *testing.B) {
 }
 
 // reportRowsPerSec publishes dataset-rows-processed-per-second, the common
-// throughput unit across the direct mining benchmarks (and the BENCH_*.json
-// trajectory).
+// throughput unit across the direct mining benchmarks.
 func reportRowsPerSec(b *testing.B, rows int) {
 	b.Helper()
 	if s := b.Elapsed().Seconds(); s > 0 {

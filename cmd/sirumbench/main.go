@@ -1,5 +1,4 @@
-// Command sirumbench regenerates the thesis' tables and figures, and runs
-// the repository's throughput campaign.
+// Command sirumbench regenerates the thesis' tables and figures.
 //
 // Usage:
 //
@@ -7,35 +6,20 @@
 //	sirumbench -exp fig-5.3            # one experiment
 //	sirumbench -exp all [-scale 2000]  # the whole evaluation
 //
-//	sirumbench -bench [-quick] [-out BENCH_2.json] [-suites mine,serve]
-//	sirumbench -compare [OLD.json] NEW.json [-tol 0.15]
-//
 // Experiment ids are the thesis' figure/table numbers (fig-3.1 … fig-5.19,
 // table-1.2, table-4.1) plus the ablations from DESIGN.md §5. The -scale
 // flag divides the paper's dataset sizes; platform fixed overheads are
-// scaled to match (DESIGN.md §1).
-//
-// -bench measures the canonical perf suites (mine/explore/append cold vs
-// prepared on both backends, plus an in-process serving storm) and emits the
-// versioned JSON document checked in as BENCH_<n>.json; -compare diffs two
-// such documents and flags moves beyond -tol in the bad direction. With one
-// path, the baseline is the newest checked-in BENCH_<n>.json. Flagged
-// latency/throughput deltas are advisory; flagged allocs_per_op deltas fail
-// the command.
+// scaled to match (DESIGN.md §1). Performance is measured by the repository
+// benchmark (go run ./benchmark, BENCHMARK.json), not here.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"strconv"
-	"strings"
 	"time"
 
-	"sirum/internal/bench"
 	"sirum/internal/experiments"
 )
 
@@ -56,19 +40,8 @@ func run(args []string, stdout io.Writer) error {
 	executors := fs.Int("executors", 16, "virtual executors")
 	cores := fs.Int("cores", 4, "virtual cores per executor")
 	backend := fs.String("backend", "sim", "substrate for the generic mining figures: sim or native (platform/scaling figures always simulate)")
-	doBench := fs.Bool("bench", false, "run the perf suites and emit a BENCH JSON report")
-	out := fs.String("out", "", "with -bench: write the report to this file (default stdout)")
-	suites := fs.String("suites", "", "with -bench: comma-separated suite subset (mine,explore,append,serve)")
-	compare := fs.Bool("compare", false, "diff two BENCH JSON reports: -compare OLD NEW")
-	tol := fs.Float64("tol", 0.15, "with -compare: relative tolerance before a delta is flagged")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *compare {
-		return runCompare(fs.Args(), *tol, stdout)
-	}
-	if *doBench {
-		return runBench(*out, *suites, *quick, stdout)
 	}
 	if *list {
 		for _, r := range experiments.All() {
@@ -105,115 +78,4 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "(%s completed in %v)\n\n", id, time.Since(start).Round(time.Millisecond))
 	}
 	return nil
-}
-
-// runBench executes the throughput-campaign suites and writes the report.
-func runBench(out, suites string, quick bool, stdout io.Writer) error {
-	cfg := bench.Config{
-		Quick: quick,
-		Log:   func(format string, args ...any) { fmt.Fprintf(stdout, format+"\n", args...) },
-	}
-	if suites != "" {
-		cfg.Suites = strings.Split(suites, ",")
-	}
-	start := time.Now()
-	rep, err := bench.Run(cfg)
-	if err != nil {
-		return err
-	}
-	if err := bench.Validate(rep); err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "(bench completed in %v)\n", time.Since(start).Round(time.Millisecond))
-	if out == "" {
-		buf, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "%s\n", buf)
-		return nil
-	}
-	if err := bench.WriteFile(out, rep); err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "wrote %s\n", out)
-	return nil
-}
-
-// runCompare diffs two reports. With a single path the baseline is
-// auto-selected: the newest checked-in BENCH_<n>.json in the current
-// directory, so CI keeps comparing against the latest trajectory point
-// without edits. Latency and throughput regressions render flagged but stay
-// advisory (shared runners wobble); allocs_per_op regressions fail the
-// command — allocation counts are deterministic, so those flags are real.
-func runCompare(args []string, tol float64, stdout io.Writer) error {
-	// The flag package stops parsing at the first positional argument, so
-	// the documented `-compare OLD NEW -tol 0.25` order leaves -tol in the
-	// positionals; accept it there too.
-	var paths []string
-	for i := 0; i < len(args); i++ {
-		if a := args[i]; a == "-tol" || a == "--tol" {
-			if i+1 >= len(args) {
-				return fmt.Errorf("-tol needs a value")
-			}
-			v, err := strconv.ParseFloat(args[i+1], 64)
-			if err != nil {
-				return fmt.Errorf("-tol: %w", err)
-			}
-			tol = v
-			i++
-		} else {
-			paths = append(paths, a)
-		}
-	}
-	args = paths
-	switch len(args) {
-	case 1:
-		base, err := newestBenchReport(".")
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "baseline: %s (newest checked-in trajectory point)\n", base)
-		args = []string{base, args[0]}
-	case 2:
-	default:
-		return fmt.Errorf("-compare needs one (NEW, baseline auto-selected) or two (OLD NEW) report paths, got %d", len(args))
-	}
-	oldRep, err := bench.ReadFile(args[0])
-	if err != nil {
-		return err
-	}
-	newRep, err := bench.ReadFile(args[1])
-	if err != nil {
-		return err
-	}
-	cmp := bench.Compare(oldRep, newRep, tol)
-	cmp.Render(stdout)
-	if reg := cmp.AllocRegressions(); len(reg) > 0 {
-		return fmt.Errorf("%d allocs_per_op regression(s) beyond tolerance (latency/throughput flags are advisory; allocation flags block)", len(reg))
-	}
-	return nil
-}
-
-// newestBenchReport picks the highest-numbered BENCH_<n>.json in dir.
-func newestBenchReport(dir string) (string, error) {
-	matches, err := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
-	if err != nil {
-		return "", err
-	}
-	best, bestN := "", -1
-	for _, m := range matches {
-		base := filepath.Base(m)
-		n, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(base, "BENCH_"), ".json"))
-		if err != nil {
-			continue
-		}
-		if n > bestN {
-			best, bestN = m, n
-		}
-	}
-	if best == "" {
-		return "", fmt.Errorf("no checked-in BENCH_<n>.json baseline found in %s", dir)
-	}
-	return best, nil
 }

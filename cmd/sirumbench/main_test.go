@@ -1,11 +1,8 @@
 package main
 
 import (
-	"os"
 	"strings"
 	"testing"
-
-	"sirum/internal/bench"
 )
 
 func TestList(t *testing.T) {
@@ -39,128 +36,5 @@ func TestRunErrors(t *testing.T) {
 		if err := run(args, &sb); err == nil {
 			t.Errorf("args %v accepted", args)
 		}
-	}
-}
-
-// TestCompareFlagOrders pins that -tol is honoured before or after the two
-// report paths (the flag package stops parsing at the first positional).
-func TestCompareFlagOrders(t *testing.T) {
-	path := t.TempDir() + "/bench.json"
-	rep := &bench.Report{
-		SchemaVersion: bench.SchemaVersion,
-		CreatedAt:     "2026-01-01T00:00:00Z",
-		Host:          bench.Host{OS: "linux", Arch: "amd64", CPUs: 1, GoVersion: "go1.24"},
-		Suites: []bench.SuiteResult{{
-			Suite: "mine", Case: "prepared/native", Rows: 100, Iters: 1,
-			QueriesPerSec: 10, P50NS: 1e6, P95NS: 2e6, AllocsPerOp: 100,
-		}},
-	}
-	if err := bench.WriteFile(path, rep); err != nil {
-		t.Fatal(err)
-	}
-	for _, args := range [][]string{
-		{"-compare", path, path, "-tol", "0.25"},
-		{"-compare", "-tol", "0.25", path, path},
-	} {
-		var sb strings.Builder
-		if err := run(args, &sb); err != nil {
-			t.Errorf("args %v: %v", args, err)
-		}
-		if !strings.Contains(sb.String(), "no regressions") {
-			t.Errorf("args %v: self-compare flagged regressions:\n%s", args, sb.String())
-		}
-	}
-	// Single-path compare auto-selects a baseline; with no checked-in
-	// BENCH_<n>.json in the working directory it must fail loudly.
-	if err := run([]string{"-compare", path}, &strings.Builder{}); err == nil || !strings.Contains(err.Error(), "BENCH_") {
-		t.Errorf("single-path compare without baselines: err = %v", err)
-	}
-	if err := run([]string{"-compare", path, path, "-tol"}, &strings.Builder{}); err == nil {
-		t.Error("dangling -tol accepted")
-	}
-}
-
-// benchReport builds a minimal valid report with the given per-case
-// throughput, latency and allocation numbers.
-func benchReport(qps, p95 float64, allocs int64) *bench.Report {
-	return &bench.Report{
-		SchemaVersion: bench.SchemaVersion,
-		CreatedAt:     "2026-01-01T00:00:00Z",
-		Host:          bench.Host{OS: "linux", Arch: "amd64", CPUs: 1, GoVersion: "go1.24"},
-		Suites: []bench.SuiteResult{{
-			Suite: "explore", Case: "cold/native", Rows: 100, Iters: 1,
-			QueriesPerSec: qps, P50NS: int64(p95 / 2), P95NS: int64(p95), AllocsPerOp: allocs,
-		}},
-	}
-}
-
-// TestCompareBlocksOnAllocRegressions pins the CI gate: allocs_per_op moves
-// beyond tolerance fail the command, latency/throughput moves stay advisory.
-func TestCompareBlocksOnAllocRegressions(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name string, rep *bench.Report) string {
-		t.Helper()
-		p := dir + "/" + name
-		if err := bench.WriteFile(p, rep); err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	base := write("base.json", benchReport(10, 1e6, 1000))
-
-	var sb strings.Builder
-	slow := write("slow.json", benchReport(2, 9e6, 1000)) // 5x slower, same allocs
-	if err := run([]string{"-compare", base, slow, "-tol", "0.15"}, &sb); err != nil {
-		t.Errorf("latency/throughput regression blocked the command: %v", err)
-	}
-	if !strings.Contains(sb.String(), "REGRESSED") {
-		t.Error("latency regression not flagged in the rendering")
-	}
-
-	leaky := write("leaky.json", benchReport(10, 1e6, 5000)) // 5x the allocations
-	err := run([]string{"-compare", base, leaky, "-tol", "0.15"}, &strings.Builder{})
-	if err == nil || !strings.Contains(err.Error(), "allocs_per_op") {
-		t.Errorf("alloc regression did not block: err = %v", err)
-	}
-
-	improved := write("improved.json", benchReport(30, 0.5e6, 100))
-	if err := run([]string{"-compare", base, improved, "-tol", "0.15"}, &strings.Builder{}); err != nil {
-		t.Errorf("improvement flagged as blocking: %v", err)
-	}
-}
-
-// TestCompareAutoSelectsNewestBaseline pins single-path compare picking the
-// highest-numbered checked-in BENCH_<n>.json.
-func TestCompareAutoSelectsNewestBaseline(t *testing.T) {
-	dir := t.TempDir()
-	for name, allocs := range map[string]int64{
-		"BENCH_1.json":  9999999, // stale: comparing against it would flag
-		"BENCH_2.json":  1000,
-		"BENCH_x.json":  5, // malformed number: ignored
-		"BENCH_10.json": 1000,
-	} {
-		if err := bench.WriteFile(dir+"/"+name, benchReport(10, 1e6, allocs)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	newPath := dir + "/new.json"
-	if err := bench.WriteFile(newPath, benchReport(10, 1e6, 1100)); err != nil {
-		t.Fatal(err)
-	}
-	cwd, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Chdir(dir); err != nil {
-		t.Fatal(err)
-	}
-	defer os.Chdir(cwd)
-
-	var sb strings.Builder
-	if err := run([]string{"-compare", newPath, "-tol", "0.25"}, &sb); err != nil {
-		t.Fatalf("auto-baseline compare: %v", err)
-	}
-	if !strings.Contains(sb.String(), "BENCH_10.json") {
-		t.Errorf("baseline line does not name BENCH_10.json:\n%s", sb.String())
 	}
 }

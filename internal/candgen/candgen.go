@@ -4,9 +4,14 @@
 // candidate enumeration, and distributed top-k selection by information
 // gain.
 //
-// Generation is generic over the rule-key representation via Codec: packed
-// uint64 keys when the schema fits 64 bits (allocation-free end to end) and
-// string keys otherwise. See internal/cube for the representation contract.
+// There are two concrete pipelines, one per schema kind (see internal/cube):
+// this file holds the string-key one for schemas of any width — LCAParts or
+// ExhaustiveParts, cube.Compute, AdjustForSample, TopByGain over per-partition
+// Go maps — and tables.go the packed one over arena-recycled flat tables and
+// the frozen lattice, allocation-free end to end, for schemas whose keys fit
+// 64 bits. StringCodec and PackedCodec bind each key representation to rule
+// encoding and to the leaf-instance enumeration the miner's LCA memo builds
+// on; scored candidates (Candidate) and the top-k merge are shared.
 package candgen
 
 import (
@@ -110,57 +115,26 @@ func (ix *InvertedIndex) Bytes() int64 {
 	return n
 }
 
-// Codec binds one key representation end to end: the cube's KeySpace
-// operations plus rule encoding/decoding and the leaf-instance scans that
-// seed the pipeline. StringCodec works for any schema; PackedCodec applies
-// when the dimensions pack into 64 bits and keeps the whole candidate
-// pipeline allocation-free. The cmp.Ordered bound gives top-k selection its
-// deterministic tie-break.
-type Codec[K cmp.Ordered] interface {
-	cube.KeySpace[K]
-	// EncodeRule returns r's key.
-	EncodeRule(r rule.Rule) (K, error)
-	// DecodeRule decodes key into dst (allocated when too small).
-	DecodeRule(key K, dst rule.Rule) (rule.Rule, error)
-	// LCAParts computes the locally combined LCA aggregates (see the
-	// package-level LCAParts).
-	LCAParts(c engine.Backend, data *engine.CachedData, s *Sample, indexed bool, ix *InvertedIndex) (*engine.PColl[map[K]cube.Agg], error)
-	// ExhaustiveParts turns every data tuple into a full-constant instance
-	// (see the package-level ExhaustiveParts).
-	ExhaustiveParts(c engine.Backend, data *engine.CachedData) (*engine.PColl[map[K]cube.Agg], error)
-	// ForEachLeafKey enumerates every (leaf key, block row) incidence of a
-	// block in ascending row order: the tuple's own instance per row when s
-	// is nil, else the |s| LCA instances per row (ix must index s). The
-	// miner's LCA memo builds on this.
-	ForEachLeafKey(b *engine.TupleBlock, s *Sample, ix *InvertedIndex, emit func(key K, row int))
-}
-
-// StringCodec is the Codec of the string-key representation.
-type StringCodec struct{ cube.StringKeys }
+// StringCodec is the key representation of the string pipeline: rule.Key
+// strings of 4 bytes per attribute, valid for any arity D.
+type StringCodec struct{ D int }
 
 // NewStringCodec returns the string codec for arity d.
-func NewStringCodec(d int) StringCodec { return StringCodec{cube.StringKeys{D: d}} }
+func NewStringCodec(d int) StringCodec { return StringCodec{D: d} }
 
-// EncodeRule implements Codec.
+// EncodeRule returns r's key.
 func (c StringCodec) EncodeRule(r rule.Rule) (string, error) { return r.Key(), nil }
 
-// DecodeRule implements Codec.
+// DecodeRule decodes key into dst (allocated when too small).
 func (c StringCodec) DecodeRule(key string, dst rule.Rule) (rule.Rule, error) {
 	return rule.DecodeKey(key, c.D, dst)
 }
 
-// LCAParts implements Codec.
-func (c StringCodec) LCAParts(b engine.Backend, data *engine.CachedData, s *Sample, indexed bool, ix *InvertedIndex) (*engine.PColl[map[string]cube.Agg], error) {
-	return LCAParts(b, data, s, indexed, ix)
-}
-
-// ExhaustiveParts implements Codec.
-func (c StringCodec) ExhaustiveParts(b engine.Backend, data *engine.CachedData) (*engine.PColl[map[string]cube.Agg], error) {
-	return ExhaustiveParts(b, data)
-}
-
-// ForEachLeafKey implements Codec. The string path pays one key allocation
-// per incidence; only the once-per-session memo build uses it.
+// ForEachLeafKey enumerates every (leaf key, block row) incidence of a block
+// in ascending row order: the tuple's own instance per row when s is nil,
+// else the |s| LCA instances per row (ix must index s). The miner's LCA memo
+// builds on this. The string path pays one key allocation per incidence;
+// only the once-per-session memo build uses it.
 func (c StringCodec) ForEachLeafKey(b *engine.TupleBlock, s *Sample, ix *InvertedIndex, emit func(string, int)) {
 	d := c.D
 	if s == nil {
@@ -193,54 +167,22 @@ func (c StringCodec) ForEachLeafKey(b *engine.TupleBlock, s *Sample, ix *Inverte
 	}
 }
 
-// PackedCodec is the Codec of the packed-key representation.
+// PackedCodec is the key representation of the table pipeline: single-word
+// keys from a rule.Packer.
 type PackedCodec struct{ cube.PackedKeys }
 
 // NewPackedCodec returns the packed codec over p.
 func NewPackedCodec(p *rule.Packer) PackedCodec { return PackedCodec{cube.PackedKeys{P: p}} }
 
-// EncodeRule implements Codec.
+// EncodeRule returns r's key.
 func (c PackedCodec) EncodeRule(r rule.Rule) (uint64, error) { return c.P.Pack(r) }
 
-// DecodeRule implements Codec.
+// DecodeRule decodes key into dst (allocated when too small).
 func (c PackedCodec) DecodeRule(key uint64, dst rule.Rule) (rule.Rule, error) {
 	return c.P.Unpack(key, dst)
 }
 
-// LCAParts implements Codec.
-func (c PackedCodec) LCAParts(b engine.Backend, data *engine.CachedData, s *Sample, indexed bool, ix *InvertedIndex) (*engine.PColl[map[uint64]cube.Agg], error) {
-	return lcaPartsPacked(b, data, s, indexed, ix, c.P)
-}
-
-// ExhaustiveParts implements Codec.
-func (c PackedCodec) ExhaustiveParts(b engine.Backend, data *engine.CachedData) (*engine.PColl[map[uint64]cube.Agg], error) {
-	p := c.P
-	out := make([]map[uint64]cube.Agg, data.NumBlocks())
-	err := data.Scan("candgen/exhaustive", false, func(bi int, b *engine.TupleBlock) {
-		local := make(map[uint64]cube.Agg)
-		d := len(b.Dims)
-		codes := make(rule.Rule, d)
-		for i := 0; i < b.NumRows(); i++ {
-			for j := 0; j < d; j++ {
-				codes[j] = b.Dims[j][i]
-			}
-			k := p.PackCodes(codes)
-			agg := cube.Agg{SumM: b.M[i], SumMhat: b.Mhat[i], Count: 1}
-			if old, ok := local[k]; ok {
-				local[k] = cube.Merge(old, agg)
-			} else {
-				local[k] = agg
-			}
-		}
-		out[bi] = local
-	})
-	if err != nil {
-		return nil, err
-	}
-	return engine.NewPColl(out), nil
-}
-
-// ForEachLeafKey implements Codec; allocation-free.
+// ForEachLeafKey is StringCodec.ForEachLeafKey in packed keys; allocation-free.
 func (c PackedCodec) ForEachLeafKey(b *engine.TupleBlock, s *Sample, ix *InvertedIndex, emit func(uint64, int)) {
 	p := c.P
 	d := len(b.Dims)
@@ -373,99 +315,6 @@ func lcaIndexed(b *engine.TupleBlock, s *Sample, ix *InvertedIndex, local *cube.
 	return ops
 }
 
-// lcaPartsPacked is LCAParts in the packed representation: LCAs stay packed
-// words throughout, so neither strategy allocates per pair.
-func lcaPartsPacked(c engine.Backend, data *engine.CachedData, s *Sample, indexed bool, ix *InvertedIndex, p *rule.Packer) (*engine.PColl[map[uint64]cube.Agg], error) {
-	if s.Size() == 0 {
-		return nil, fmt.Errorf("candgen: empty sample")
-	}
-	if indexed {
-		if ix == nil {
-			ix = BuildIndex(s)
-		}
-		c.Broadcast(ix.Bytes() + s.Bytes())
-	} else {
-		c.Broadcast(s.Bytes())
-	}
-	out := make([]map[uint64]cube.Agg, data.NumBlocks())
-	comparisons := make([]int64, data.NumBlocks())
-	err := data.Scan("candgen/lca", false, func(bi int, b *engine.TupleBlock) {
-		local := make(map[uint64]cube.Agg, b.NumRows())
-		if indexed {
-			comparisons[bi] = lcaIndexedPacked(b, s, ix, p, local)
-		} else {
-			comparisons[bi] = lcaNaivePacked(b, s, p, local)
-		}
-		out[bi] = local
-	})
-	if err != nil {
-		return nil, err
-	}
-	var total int64
-	for _, n := range comparisons {
-		total += n
-	}
-	c.Reg().Add(metrics.CtrLCAComparisons, total)
-	return engine.NewPColl(out), nil
-}
-
-func lcaNaivePacked(b *engine.TupleBlock, s *Sample, p *rule.Packer, local map[uint64]cube.Agg) int64 {
-	d := len(b.Dims)
-	lca := make(rule.Rule, d)
-	var comps int64
-	for i := 0; i < b.NumRows(); i++ {
-		agg := cube.Agg{SumM: b.M[i], SumMhat: b.Mhat[i], Count: 1}
-		for _, srow := range s.Rows {
-			for j := 0; j < d; j++ {
-				if srow[j] == b.Dims[j][i] {
-					lca[j] = srow[j]
-				} else {
-					lca[j] = rule.Wildcard
-				}
-			}
-			comps += int64(d)
-			k := p.PackCodes(lca)
-			if old, ok := local[k]; ok {
-				local[k] = cube.Merge(old, agg)
-			} else {
-				local[k] = agg
-			}
-		}
-	}
-	return comps
-}
-
-func lcaIndexedPacked(b *engine.TupleBlock, s *Sample, ix *InvertedIndex, p *rule.Packer, local map[uint64]cube.Agg) int64 {
-	d := len(b.Dims)
-	ns := s.Size()
-	wild := p.AllWildcards()
-	buf := make([]uint64, ns)
-	var ops int64
-	for i := 0; i < b.NumRows(); i++ {
-		for si := range buf {
-			buf[si] = wild
-		}
-		for j := 0; j < d; j++ {
-			v := b.Dims[j][i]
-			ops++ // one index lookup per attribute
-			for _, si := range ix.Posting(j, v) {
-				buf[si] = p.Set(buf[si], j, v)
-				ops++
-			}
-		}
-		agg := cube.Agg{SumM: b.M[i], SumMhat: b.Mhat[i], Count: 1}
-		for si := 0; si < ns; si++ {
-			k := buf[si]
-			if old, ok := local[k]; ok {
-				local[k] = cube.Merge(old, agg)
-			} else {
-				local[k] = agg
-			}
-		}
-	}
-	return ops
-}
-
 // AdjustForSample applies the fix-up of Section 3.1.1: a candidate covering
 // c sample tuples received every covered data tuple's contribution c times,
 // so its aggregates are divided by c. After adjustment, SumM and Count equal
@@ -473,14 +322,14 @@ func lcaIndexedPacked(b *engine.TupleBlock, s *Sample, ix *InvertedIndex, p *rul
 // tuple cannot exist (every candidate is an ancestor of an LCA, hence of a
 // sample tuple); they indicate corruption and surface as an error rather
 // than a worker panic.
-func AdjustForSample[K cmp.Ordered](c engine.Backend, candidates *engine.PColl[map[K]cube.Agg], s *Sample, codec Codec[K]) (*engine.PColl[map[K]cube.Agg], error) {
+func AdjustForSample(c engine.Backend, candidates *engine.PColl[map[string]cube.Agg], s *Sample, codec StringCodec) (*engine.PColl[map[string]cube.Agg], error) {
 	c.Broadcast(s.Bytes())
-	out := make([]map[K]cube.Agg, candidates.NumParts())
+	out := make([]map[string]cube.Agg, candidates.NumParts())
 	errs := make([]error, candidates.NumParts())
 	c.RunStage("candgen/adjust", candidates.NumParts(), func(i int) {
 		part := candidates.Part(i)
-		adj := make(map[K]cube.Agg, len(part))
-		buf := make(rule.Rule, codec.NumDims())
+		adj := make(map[string]cube.Agg, len(part))
+		buf := make(rule.Rule, codec.D)
 		for key, agg := range part {
 			r, err := codec.DecodeRule(key, buf)
 			if err != nil {
@@ -531,7 +380,8 @@ func ExhaustiveParts(c engine.Backend, data *engine.CachedData) (*engine.PColl[m
 	return engine.NewPColl(out), nil
 }
 
-// Candidate is a scored candidate rule in the codec's key representation.
+// Candidate is a scored candidate rule in either key representation; the
+// cmp.Ordered bound gives top-k selection its deterministic tie-break.
 type Candidate[K cmp.Ordered] struct {
 	Key  K
 	Gain float64
@@ -569,12 +419,12 @@ func (h *candHeap[K]) offer(n int, c Candidate[K]) {
 // skipping keys in exclude (already-selected rules) and non-positive gains.
 // The reduction runs as per-partition heaps followed by a driver merge, the
 // standard distributed top-k.
-func TopByGain[K cmp.Ordered](c engine.Backend, candidates *engine.PColl[map[K]cube.Agg], n int, exclude map[K]bool) []Candidate[K] {
+func TopByGain(c engine.Backend, candidates *engine.PColl[map[string]cube.Agg], n int, exclude map[string]bool) []Candidate[string] {
 	if n <= 0 {
 		return nil
 	}
-	tops := engine.MapParts(c, candidates, "candgen/topk", func(_ int, part map[K]cube.Agg) []Candidate[K] {
-		h := make(candHeap[K], 0, n+1)
+	tops := engine.MapParts(c, candidates, "candgen/topk", func(_ int, part map[string]cube.Agg) []Candidate[string] {
+		h := make(candHeap[string], 0, n+1)
 		for key, agg := range part {
 			if exclude[key] {
 				continue
@@ -583,7 +433,7 @@ func TopByGain[K cmp.Ordered](c engine.Backend, candidates *engine.PColl[map[K]c
 			if g <= 0 {
 				continue
 			}
-			h.offer(n, Candidate[K]{Key: key, Gain: g, Agg: agg})
+			h.offer(n, Candidate[string]{Key: key, Gain: g, Agg: agg})
 		}
 		return h
 	})

@@ -37,31 +37,26 @@ func relDiff(a, b float64) float64 {
 	return d
 }
 
-// collectAsStringKeys gathers a keyed candidate collection and normalizes
-// the keys to the string representation so both pipelines compare directly.
-func collectAsStringKeys[K interface {
-	~string | ~uint64
-}](t *testing.T, c engine.Backend, parts *engine.PColl[map[K]cube.Agg], codec Codec[K]) map[string]cube.Agg {
+// collectStrings gathers the string pipeline's candidate collection into one
+// map; partitions are key-disjoint after the cube shuffle.
+func collectStrings(t *testing.T, parts *engine.PColl[map[string]cube.Agg]) map[string]cube.Agg {
 	t.Helper()
-	raw := engine.CollectMap(c, parts, "equiv/collect", cube.Merge, codec.RecordBytes)
-	out := make(map[string]cube.Agg, len(raw))
-	for k, v := range raw {
-		r, err := codec.DecodeRule(k, nil)
-		if err != nil {
-			t.Fatalf("decoding candidate key %v: %v", k, err)
+	out := make(map[string]cube.Agg)
+	for _, part := range parts.Parts() {
+		for k, v := range part {
+			if _, dup := out[k]; dup {
+				t.Fatalf("candidate key %x present in two partitions", k)
+			}
+			out[k] = v
 		}
-		out[r.Key()] = v
-	}
-	if len(out) != len(raw) {
-		t.Fatalf("normalizing keys collapsed %d candidates to %d", len(raw), len(out))
 	}
 	return out
 }
 
-// collectTablesAsStringKeys is collectAsStringKeys for the table-backed
-// pipeline: partitions are key-disjoint after the cube shuffle, so entries
-// are gathered directly off each table.
-func collectTablesAsStringKeys(t *testing.T, c engine.Backend, parts *engine.PColl[*cube.PackedTable], codec PackedCodec) map[string]cube.Agg {
+// collectTablesAsStringKeys is collectStrings for the table pipeline, with
+// the keys normalized to the string representation so both pipelines compare
+// directly.
+func collectTablesAsStringKeys(t *testing.T, parts *engine.PColl[*cube.PackedTable], codec PackedCodec) map[string]cube.Agg {
 	t.Helper()
 	out := make(map[string]cube.Agg)
 	for _, part := range parts.Parts() {
@@ -98,13 +93,12 @@ func compareCandidates(t *testing.T, label string, ds *dataset.Dataset, str, pac
 	}
 }
 
-// TestPackedStringCandidatesEquivalentConcurrent is the cross-representation
-// property of the packed-key fast path: over randomized datasets, all three
-// pipelines — string keys, packed maps, and arena-recycled PackedTables —
-// produce identical candidate maps through leaf instances, cube stages and
-// sample fix-up (same rules, aggregates equal up to summation order). The
-// Concurrent name opts the test into the CI race run, so the per-part state
-// handling of every representation is also race-checked.
+// TestPackedStringCandidatesEquivalentConcurrent is the cross-pipeline
+// property: over randomized datasets the table pipeline — arena-recycled
+// PackedTables — produces the candidate map of the string pipeline through
+// leaf instances, cube stages and sample fix-up (same rules, aggregates equal
+// up to summation order). The Concurrent name opts the test into the CI race
+// run, so the per-part state handling of both pipelines is also race-checked.
 func TestPackedStringCandidatesEquivalentConcurrent(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -122,23 +116,17 @@ func TestPackedStringCandidatesEquivalentConcurrent(t *testing.T) {
 			if !ok {
 				t.Fatalf("%s does not pack (%d dims)", tc.name, d)
 			}
-			cs, cp, ct := newTestCluster(), newTestCluster(), newTestCluster()
+			cs, ct := newTestCluster(), newTestCluster()
 			defer cs.Close()
-			defer cp.Close()
 			defer ct.Close()
-			cds, cdp, cdt := cacheFor(t, cs, ds), cacheFor(t, cp, ds), cacheFor(t, ct, ds)
+			cds, cdt := cacheFor(t, cs, ds), cacheFor(t, ct, ds)
 			strCodec, packCodec := NewStringCodec(d), NewPackedCodec(packer)
-			pk := cube.PackedKeys{P: packer}
 			groups := cube.SplitGroups(d, 2)
 
 			// Sampled LCA pipeline, indexed and naive.
 			for _, indexed := range []bool{false, true} {
 				s := DrawSample(ds, stats.NewRand(31), 5)
-				sl, err := strCodec.LCAParts(cs, cds, s, indexed, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				pl, err := packCodec.LCAParts(cp, cdp, s, indexed, nil)
+				sl, err := LCAParts(cs, cds, s, indexed, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -146,23 +134,15 @@ func TestPackedStringCandidatesEquivalentConcurrent(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sc, err := cube.ComputeKeyed[string](cs, sl, strCodec, groups)
+				sc, err := cube.Compute(cs, sl, d, groups)
 				if err != nil {
 					t.Fatal(err)
 				}
-				pc, err := cube.ComputeKeyed[uint64](cp, pl, packCodec, groups)
-				if err != nil {
-					t.Fatal(err)
-				}
-				tt, err := cube.ComputeTables(ct, tl, pk, groups)
+				tt, err := cube.ComputeTables(ct, tl, packCodec.PackedKeys, groups)
 				if err != nil {
 					t.Fatal(err)
 				}
 				sa, err := AdjustForSample(cs, sc, s, strCodec)
-				if err != nil {
-					t.Fatal(err)
-				}
-				pa, err := AdjustForSample(cp, pc, s, packCodec)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -173,20 +153,13 @@ func TestPackedStringCandidatesEquivalentConcurrent(t *testing.T) {
 				if indexed {
 					label = "lca/indexed"
 				}
-				strRules := collectAsStringKeys(t, cs, sa, strCodec)
-				compareCandidates(t, label, ds, strRules,
-					collectAsStringKeys(t, cp, pa, packCodec))
-				compareCandidates(t, label+"/tables", ds, strRules,
-					collectTablesAsStringKeys(t, ct, tt, packCodec))
+				compareCandidates(t, label, ds, collectStrings(t, sa),
+					collectTablesAsStringKeys(t, tt, packCodec))
 				cube.ReleaseTables(ct, tt)
 			}
 
 			// Exhaustive pipeline.
-			se, err := strCodec.ExhaustiveParts(cs, cds)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pe, err := packCodec.ExhaustiveParts(cp, cdp)
+			se, err := ExhaustiveParts(cs, cds)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -194,23 +167,16 @@ func TestPackedStringCandidatesEquivalentConcurrent(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sc, err := cube.ComputeKeyed[string](cs, se, strCodec, groups)
+			sc, err := cube.Compute(cs, se, d, groups)
 			if err != nil {
 				t.Fatal(err)
 			}
-			pc, err := cube.ComputeKeyed[uint64](cp, pe, packCodec, groups)
+			tcx, err := cube.ComputeTables(ct, te, packCodec.PackedKeys, groups)
 			if err != nil {
 				t.Fatal(err)
 			}
-			tcx, err := cube.ComputeTables(ct, te, pk, groups)
-			if err != nil {
-				t.Fatal(err)
-			}
-			strRules := collectAsStringKeys(t, cs, sc, strCodec)
-			compareCandidates(t, "exhaustive", ds, strRules,
-				collectAsStringKeys(t, cp, pc, packCodec))
-			compareCandidates(t, "exhaustive/tables", ds, strRules,
-				collectTablesAsStringKeys(t, ct, tcx, packCodec))
+			compareCandidates(t, "exhaustive", ds, collectStrings(t, sc),
+				collectTablesAsStringKeys(t, tcx, packCodec))
 			cube.ReleaseTables(ct, tcx)
 		})
 	}

@@ -10,12 +10,13 @@ import (
 	"sirum/internal/rule"
 )
 
-// This file is the table-backed twin of the packed-key pipeline: the same
-// leaf-instance scans and fix-ups as the map-based PackedCodec methods, but
-// producing and consuming arena-recycled cube.PackedTables so a prepared
-// session's steady-state rounds stop allocating. The cross-representation
-// equivalence tests hold all three paths (tables, packed maps, string keys)
-// to identical rule lists.
+// This file is the packed-key pipeline: the same leaf-instance scans, fix-up
+// and top-k as the string pipeline of candgen.go, but producing and consuming
+// arena-recycled cube.PackedTables so a session's steady-state rounds stop
+// allocating — plus the flat per-slot form (MatchCounts, SlotCandidates,
+// TopByGainSlots) that rounds replayed over a frozen cube.Lattice read. The
+// equivalence tests hold the tables to the string pipeline, and the miner's
+// lattice suites hold the replay to the tables.
 
 // ExhaustiveTables is ExhaustiveParts into borrowed tables: every data tuple
 // becomes a full-constant rule instance.
@@ -141,7 +142,7 @@ func matchCount(s *Sample, codec PackedCodec, key uint64, buf rule.Rule) (int, r
 
 // AdjustTablesForSample applies the Section 3.1.1 fix-up in place: each
 // candidate's aggregates are divided by its sample match count through the
-// tables' mutable walk — no rebuilt collection, unlike the map path.
+// tables' mutable walk — no rebuilt collection, unlike the string pipeline.
 func AdjustTablesForSample(c engine.Backend, candidates *engine.PColl[*cube.PackedTable], s *Sample, codec PackedCodec) error {
 	c.Broadcast(s.Bytes())
 	errs := make([]error, candidates.NumParts())

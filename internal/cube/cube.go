@@ -14,28 +14,25 @@
 //     (Figure 5.8). Appendix A proves the outputs identical; this package's
 //     property tests check it.
 //
-// The pipeline is generic over the key representation (KeySpace). PackedKeys
-// keys rules as single uint64 words whenever the dimension dictionaries pack
-// into 64 bits (rule.NewPacker) — the fast path, with no allocation per
-// emitted ancestor. StringKeys is the general fallback for wider schemas:
-// rule.Key strings of 4 bytes per attribute, emitted through a scratch
-// buffer and an AggTable so only the first emission of each distinct
-// ancestor materializes a string.
+// There are two concrete pipelines, one per schema kind, and the miner picks
+// between them once per query. When the dimension dictionaries pack into 64
+// bits (rule.NewPacker) rules are single uint64 words and the round state is
+// flat: ComputeTables runs the map/shuffle/merge structure over PackedTable —
+// an open-addressing []uint64/[]Agg table with linear probing and in-place
+// merge. Tables are borrowed from the backend's per-query scratch arena
+// (BorrowTable/Release, the engine.Scratch contract) and Reset between
+// stages, so a warm multi-stage cube reuses the same backing arrays across
+// all stages and allocates nothing in steady state. Wider schemas take
+// Compute: rule.Key strings of 4 bytes per attribute in per-partition Go
+// maps, emitted through a scratch buffer and an AggTable so only the first
+// emission of each distinct ancestor materializes a string. Both produce
+// identical candidate sets; the equivalence tests hold the tables to the
+// string pipeline by decoding keys.
 //
-// On the packed path the round state itself is flat: ComputeTables runs the
-// same map/shuffle/merge structure over PackedTable — an open-addressing
-// []uint64/[]Agg table with linear probing and in-place merge — instead of
-// rebuilding a map[uint64]Agg per stage. Tables are borrowed from the
-// backend's per-query scratch arena (BorrowTable/Release, the engine.Scratch
-// contract) and Reset between stages, so a warm multi-stage cube reuses the
-// same backing arrays across all stages and allocates nothing in steady
-// state. All representations produce identical candidate sets; the
-// equivalence tests pin that.
-//
-// All of the above recompute the cube every round, as the paper does. But
-// between rounds — and between queries over one candidate space — only the
-// Σm̂ values change: the candidate keys and which leaf instance feeds which
-// candidate are fixed by the leaf key set. Lattice is the build-once form of
+// Both recompute the cube every round, as the paper does. But between rounds
+// — and between queries over one candidate space — only the Σm̂ values
+// change: the candidate keys and which leaf instance feeds which candidate
+// are fixed by the leaf key set. Lattice is the build-once form of
 // that fixed part: a slot per candidate and, per attribute, an edge list from
 // each key holding a constant there to the key with it wildcarded.
 // BuildLattice pays one hash per edge, once; Lattice.Propagate then replays a
@@ -69,32 +66,6 @@ func Merge(a, b Agg) Agg {
 	return Agg{SumM: a.SumM + b.SumM, SumMhat: a.SumMhat + b.SumMhat, Count: a.Count + b.Count}
 }
 
-// KeySpace abstracts the rule-key representation the cube pipeline runs
-// over: the packed-uint64 fast path or the general string path.
-type KeySpace[K comparable] interface {
-	// NumDims returns the rule arity d.
-	NumDims() int
-	// MapAncestors runs one map stage over a partition: it emits the proper
-	// ancestors of every rule obtained by wildcarding non-empty subsets of
-	// the group's attributes, locally combined. It returns the combined map
-	// and the number of (ancestor, aggregate) emissions, and fails on
-	// corrupt keys or an enumeration past rule.MaxFreeAttrs.
-	MapAncestors(part map[K]Agg, group []int) (map[K]Agg, int64, error)
-	// RecordBytes sizes one shuffled (key, aggregate) record for cost
-	// accounting.
-	RecordBytes(k K, v Agg) int
-}
-
-// StringKeys is the general-purpose key representation: rule.Key strings of
-// 4 bytes per attribute, valid for any arity.
-type StringKeys struct{ D int }
-
-// NumDims implements KeySpace.
-func (s StringKeys) NumDims() int { return s.D }
-
-// RecordBytes implements KeySpace: the key string plus three float64 fields.
-func (s StringKeys) RecordBytes(k string, _ Agg) int { return len(k) + 24 }
-
 // wildcardField overwrites attribute p's four key bytes with the wildcard
 // pattern — 0xFF×4, the little-endian encoding of rule.Wildcard, which no
 // valid (non-negative) code produces.
@@ -109,17 +80,21 @@ func isWildcardField(key string, p int) bool {
 	return key[p*4] == 0xFF && key[p*4+1] == 0xFF && key[p*4+2] == 0xFF && key[p*4+3] == 0xFF
 }
 
-// MapAncestors implements KeySpace. Ancestors are enumerated in place on a
-// scratch key buffer — no Rule is materialized per ancestor, and AggTable
-// interns each distinct ancestor key once.
-func (s StringKeys) MapAncestors(part map[string]Agg, group []int) (map[string]Agg, int64, error) {
+// stringAncestors runs one map stage over a partition of arity-d string keys:
+// it emits the proper ancestors of every rule obtained by wildcarding
+// non-empty subsets of the group's attributes, locally combined, and returns
+// them with the number of (ancestor, aggregate) emissions. Ancestors are
+// enumerated in place on a scratch key buffer — no Rule is materialized per
+// ancestor, and AggTable interns each distinct ancestor key once. Corrupt
+// keys and enumerations past rule.MaxFreeAttrs fail.
+func stringAncestors(part map[string]Agg, d int, group []int) (map[string]Agg, int64, error) {
 	local := NewAggTable(2 * len(part))
 	free := make([]int, 0, len(group))
-	buf := make([]byte, s.D*4)
+	buf := make([]byte, d*4)
 	var emitted int64
 	for key, agg := range part {
-		if len(key) != s.D*4 {
-			return nil, 0, fmt.Errorf("cube: corrupt rule key: %d bytes, want %d for arity %d", len(key), s.D*4, s.D)
+		if len(key) != d*4 {
+			return nil, 0, fmt.Errorf("cube: corrupt rule key: %d bytes, want %d for arity %d", len(key), d*4, d)
 		}
 		free = free[:0]
 		for _, p := range group {
@@ -143,58 +118,6 @@ func (s StringKeys) MapAncestors(part map[string]Agg, group []int) (map[string]A
 		}
 	}
 	return local.Map(), emitted, nil
-}
-
-// PackedKeys is the fast-path key representation: single-word keys from a
-// rule.Packer, valid when the dimension dictionaries pack into 64 bits.
-type PackedKeys struct{ P *rule.Packer }
-
-// NumDims implements KeySpace.
-func (pk PackedKeys) NumDims() int { return pk.P.NumDims() }
-
-// RecordBytes implements KeySpace: an 8-byte packed key plus three float64
-// fields (not the string key's 4·d bytes — shuffle cost figures stay honest
-// across representations).
-func (pk PackedKeys) RecordBytes(_ uint64, _ Agg) int { return 8 + 24 }
-
-// MapAncestors implements KeySpace. Wildcarding an attribute is a single OR
-// with its field mask; the whole stage allocates only the output map.
-func (pk PackedKeys) MapAncestors(part map[uint64]Agg, group []int) (map[uint64]Agg, int64, error) {
-	p := pk.P
-	local := make(map[uint64]Agg, 2*len(part))
-	free := make([]uint64, 0, len(group))
-	total := uint(p.TotalBits())
-	var emitted int64
-	for key, agg := range part {
-		if total < 64 && key>>total != 0 {
-			return nil, 0, fmt.Errorf("cube: corrupt packed rule key %#x: bits set beyond the %d-bit layout", key, total)
-		}
-		free = free[:0]
-		for _, pos := range group {
-			if m := p.FieldMask(pos); key&m != m {
-				free = append(free, m)
-			}
-		}
-		if len(free) > rule.MaxFreeAttrs {
-			return nil, 0, &rule.BlowupError{Free: len(free)}
-		}
-		n := 1 << uint(len(free))
-		for mask := 1; mask < n; mask++ {
-			anc := key
-			for b := 0; b < len(free); b++ {
-				if mask&(1<<uint(b)) != 0 {
-					anc |= free[b]
-				}
-			}
-			if old, ok := local[anc]; ok {
-				local[anc] = Merge(old, agg)
-			} else {
-				local[anc] = agg
-			}
-			emitted++
-		}
-	}
-	return local, emitted, nil
 }
 
 // AggTable accumulates string-keyed aggregates with allocation-free hot-path
@@ -286,25 +209,30 @@ func validateGroups(d int, groups [][]int) error {
 	return nil
 }
 
-// ComputeKeyed runs the (possibly multi-stage) data-cube over per-partition
-// rule aggregates in the given key representation. Input partitions map rule
-// keys to their aggregates — for sample-based pruning these are the locally
-// combined LCA instances; for exhaustive exploration, the tuples themselves.
-// The result partitions every candidate rule (each input rule and all its
-// ancestors) uniquely with fully merged aggregates.
+// stringRecordBytes sizes one shuffled (key, aggregate) record for cost
+// accounting: the key string plus three float64 fields.
+func stringRecordBytes(k string, _ Agg) int { return len(k) + 24 }
+
+// Compute runs the (possibly multi-stage) data-cube over per-partition rule
+// aggregates keyed by arity-d rule.Key strings — the pipeline of schemas too
+// wide to pack. Input partitions map rule keys to their aggregates — for
+// sample-based pruning these are the locally combined LCA instances; for
+// exhaustive exploration, the tuples themselves. The result partitions every
+// candidate rule (each input rule and all its ancestors) uniquely with fully
+// merged aggregates.
 //
 // Every stage is one map-reduce round: a JobBoundary is charged per round,
 // and each emitted ancestor counts toward metrics.CtrPairsEmitted, the
 // quantity Figure 5.8 plots. Corrupt keys and over-wide generalizations
 // surface as errors, not worker panics.
-func ComputeKeyed[K comparable](c engine.Backend, in *engine.PColl[map[K]Agg], ks KeySpace[K], groups [][]int) (*engine.PColl[map[K]Agg], error) {
-	if err := validateGroups(ks.NumDims(), groups); err != nil {
+func Compute(c engine.Backend, in *engine.PColl[map[string]Agg], d int, groups [][]int) (*engine.PColl[map[string]Agg], error) {
+	if err := validateGroups(d, groups); err != nil {
 		return nil, err
 	}
 	parts := c.Config().Partitions
 	// Round 0: key-partition the input so every rule lives in exactly one
 	// partition (the reduce of "computing LCA(s,D)" in the thesis).
-	cur := engine.ShuffleByKey(c, in, "cube/partition", parts, Merge, ks.RecordBytes)
+	cur := engine.ShuffleByKey(c, in, "cube/partition", parts, Merge, stringRecordBytes)
 	c.JobBoundary()
 
 	for gi, group := range groups {
@@ -314,11 +242,11 @@ func ComputeKeyed[K comparable](c engine.Backend, in *engine.PColl[map[K]Agg], k
 		// combiner of the MR round). Failures are collected per partition and
 		// surfaced after the stage instead of panicking inside a worker.
 		errs := make([]error, cur.NumParts())
-		gen := engine.MapParts(c, cur, stage+"/map", func(i int, part map[K]Agg) map[K]Agg {
-			local, emitted, err := ks.MapAncestors(part, group)
+		gen := engine.MapParts(c, cur, stage+"/map", func(i int, part map[string]Agg) map[string]Agg {
+			local, emitted, err := stringAncestors(part, d, group)
 			if err != nil {
 				errs[i] = err
-				return map[K]Agg{}
+				return map[string]Agg{}
 			}
 			c.Reg().Add(metrics.CtrPairsEmitted, emitted)
 			return local
@@ -330,8 +258,8 @@ func ComputeKeyed[K comparable](c engine.Backend, in *engine.PColl[map[K]Agg], k
 		}
 		// Reduce: co-partition the generated ancestors with the pass-through
 		// rules (same hash, same partition count) and merge.
-		genRed := engine.ShuffleByKey(c, gen, stage+"/shuffle", parts, Merge, ks.RecordBytes)
-		merged := make([]map[K]Agg, parts)
+		genRed := engine.ShuffleByKey(c, gen, stage+"/shuffle", parts, Merge, stringRecordBytes)
+		merged := make([]map[string]Agg, parts)
 		c.RunStage(stage+"/merge", parts, func(b int) {
 			out := cur.Part(b)
 			for k, v := range genRed.Part(b) {
@@ -349,17 +277,6 @@ func ComputeKeyed[K comparable](c engine.Backend, in *engine.PColl[map[K]Agg], k
 	return cur, nil
 }
 
-// Compute is ComputeKeyed in the string-key representation — the historical
-// entry point, kept for the general path and the cross-representation tests.
-func Compute(c engine.Backend, in *engine.PColl[map[string]Agg], d int, groups [][]int) (*engine.PColl[map[string]Agg], error) {
-	return ComputeKeyed[string](c, in, StringKeys{D: d}, groups)
-}
-
-// ComputePacked is ComputeKeyed in the packed-key representation.
-func ComputePacked(c engine.Backend, in *engine.PColl[map[uint64]Agg], p *rule.Packer, groups [][]int) (*engine.PColl[map[uint64]Agg], error) {
-	return ComputeKeyed[uint64](c, in, PackedKeys{P: p}, groups)
-}
-
 // ComputeSingleStage is Compute with all attributes in one group — the
 // one-round algorithm of Naive/BJ SIRUM where mappers emit full cube
 // lattices.
@@ -369,7 +286,7 @@ func ComputeSingleStage(c engine.Backend, in *engine.PColl[map[string]Agg], d in
 
 // CountCandidates sums the number of distinct candidate rules across the
 // result partitions.
-func CountCandidates[K comparable](c engine.Backend, candidates *engine.PColl[map[K]Agg]) int64 {
+func CountCandidates(c engine.Backend, candidates *engine.PColl[map[string]Agg]) int64 {
 	var total int64
 	for _, p := range candidates.Parts() {
 		total += int64(len(p))

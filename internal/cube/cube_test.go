@@ -16,9 +16,6 @@ func newTestCluster() *engine.SimBackend {
 	return engine.NewSimBackend(engine.Config{Executors: 2, CoresPerExecutor: 2, Partitions: 4})
 }
 
-// aggBytes sizes string-keyed records for gather accounting in tests.
-func aggBytes(k string, _ Agg) int { return len(k) + 24 }
-
 func TestSplitGroups(t *testing.T) {
 	cases := []struct {
 		d, g int
@@ -95,7 +92,7 @@ func TestExhaustiveCubeAggregates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	candidates := engine.CollectMap(c, res, "gather", Merge, aggBytes)
+	candidates := engine.CollectMap(c, res, "gather", Merge, stringRecordBytes)
 
 	// The thesis' example quotes "73 possible rules"; the union of the 14
 	// tuples' cube lattices has 74 elements (1 at level 0, 20 at level 1,
@@ -141,8 +138,8 @@ func TestMultiStageEqualsSingleStage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a := engine.CollectMap(c1, single, "a", Merge, aggBytes)
-		b := engine.CollectMap(c2, multi, "b", Merge, aggBytes)
+		a := engine.CollectMap(c1, single, "a", Merge, stringRecordBytes)
+		b := engine.CollectMap(c2, multi, "b", Merge, stringRecordBytes)
 		if len(a) != len(b) {
 			t.Fatalf("g=%d: %d vs %d candidates", g, len(a), len(b))
 		}
@@ -211,7 +208,7 @@ func TestSampleCandidateExample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	candidates := engine.CollectMap(c, res, "gather", Merge, aggBytes)
+	candidates := engine.CollectMap(c, res, "gather", Merge, stringRecordBytes)
 	want := map[string]bool{}
 	for _, vals := range [][]string{
 		{"*", "*", "*"}, {"*", "*", "London"}, {"*", "*", "Frankfurt"},
@@ -279,8 +276,8 @@ func TestQuickMultiStageEquivalence(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		a := engine.CollectMap(c1, single, "a", Merge, aggBytes)
-		b := engine.CollectMap(c2, multi, "b", Merge, aggBytes)
+		a := engine.CollectMap(c1, single, "a", Merge, stringRecordBytes)
+		b := engine.CollectMap(c2, multi, "b", Merge, stringRecordBytes)
 		if len(a) != len(b) {
 			return false
 		}

@@ -10,8 +10,8 @@ import (
 
 // TableRecordBytes is the serialized size of one PackedTable slot — the
 // 8-byte packed key plus the three float64 aggregate fields — and the honest
-// per-record shuffle charge for the table representation (the same figure
-// PackedKeys.RecordBytes reports for the map path).
+// per-record shuffle charge for the table representation (not the string
+// key's 4·d bytes — shuffle cost figures stay honest across pipelines).
 const TableRecordBytes = 8 + 24
 
 // minTableCap is the smallest backing capacity; always a power of two.
@@ -25,11 +25,10 @@ const (
 
 // PackedTable is a flat open-addressing hash table from packed rule keys to
 // their aggregates: power-of-two []uint64 keys plus a parallel []Agg slot
-// array, linear probing, in-place merge on hit. It replaces the per-stage Go
-// maps of the packed cube pipeline: a map is rebuilt and rehashed every
-// map/shuffle/merge round, while a PackedTable Resets to empty keeping its
-// backing arrays, so a warm multi-stage explore runs the whole round
-// structure with zero steady-state allocation.
+// array, linear probing, in-place merge on hit. Where a Go map is rebuilt and
+// rehashed every map/shuffle/merge round, a PackedTable Resets to empty
+// keeping its backing arrays, so a warm multi-stage explore runs the whole
+// round structure with zero steady-state allocation.
 //
 // Key 0 (all attributes at dictionary code 0) is a valid packed rule, so the
 // empty-slot sentinel 0 gets a sidecar: hasZero/zero hold that one entry out
@@ -227,8 +226,8 @@ func (t *PackedTable) MergeTable(o *PackedTable) {
 	}
 }
 
-// Map materializes the table as an ordinary keyed map (tests and the
-// cross-representation oracle; the pipeline never calls it).
+// Map materializes the table as an ordinary keyed map (tests only; the
+// pipeline never calls it).
 func (t *PackedTable) Map() map[uint64]Agg {
 	out := make(map[uint64]Agg, t.Len())
 	t.ForEach(func(k uint64, a Agg) { out[k] = a })
@@ -261,11 +260,21 @@ func BorrowTable(c engine.Backend, hint int) *PackedTable {
 	return t
 }
 
-// MapAncestorsTable is MapAncestors over tables: it emits the proper
+// PackedKeys is the key representation of the table pipeline: single-word
+// keys from a rule.Packer, valid when the dimension dictionaries pack into 64
+// bits.
+type PackedKeys struct{ P *rule.Packer }
+
+// NumDims returns the rule arity d.
+func (pk PackedKeys) NumDims() int { return pk.P.NumDims() }
+
+// MapAncestorsTable runs one map stage over a partition: it emits the proper
 // ancestors of every rule in src — wildcarding non-empty subsets of the
 // group's attributes, a single OR per attribute — accumulating directly into
-// dst. With src and dst recycled through the arena the warm steady state
-// allocates nothing (the free-mask scratch is a stack array).
+// dst, and returns the number of (ancestor, aggregate) emissions. With src
+// and dst recycled through the arena the warm steady state allocates nothing
+// (the free-mask scratch is a stack array). Corrupt keys and enumerations
+// past rule.MaxFreeAttrs fail.
 func (pk PackedKeys) MapAncestorsTable(src, dst *PackedTable, group []int) (int64, error) {
 	p := pk.P
 	total := uint(p.TotalBits())
@@ -336,10 +345,10 @@ func ReleaseTables(c engine.Backend, coll *engine.PColl[*PackedTable]) {
 	}
 }
 
-// ComputeTables is ComputeKeyed for the packed representation over arena-
-// recycled tables: the same round structure — key-partition, then per column
-// group one map/shuffle/merge round — but every stage accumulates into flat
-// tables instead of fresh Go maps. Two scratch table sets (generated
+// ComputeTables is Compute for packed keys over arena-recycled tables: the
+// same round structure — key-partition, then per column group one
+// map/shuffle/merge round — but every stage accumulates into flat tables
+// instead of fresh Go maps. Two scratch table sets (generated
 // ancestors, their reduction) are borrowed once and Reset between stages, and
 // the merge folds table-into-table in place, so a multi-stage cube reuses the
 // same backing arrays across all stages. The caller owns the returned

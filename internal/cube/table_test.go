@@ -52,6 +52,60 @@ func tablesFromMaps(parts []map[uint64]Agg) []*PackedTable {
 	return out
 }
 
+// stringKeyed re-keys a packed fixture partition by rule.Key string: the
+// string pipeline's input for the same instances.
+func stringKeyed(t testing.TB, p *rule.Packer, part map[uint64]Agg) map[string]Agg {
+	t.Helper()
+	out := make(map[string]Agg, len(part))
+	for k, v := range part {
+		r, err := p.Unpack(k, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[r.Key()] = v
+	}
+	return out
+}
+
+// packedKeyed is the inverse of stringKeyed, merging the given string-keyed
+// partitions into one packed map.
+func packedKeyed(t testing.TB, p *rule.Packer, parts ...map[string]Agg) map[uint64]Agg {
+	t.Helper()
+	out := make(map[uint64]Agg)
+	for _, part := range parts {
+		for key, v := range part {
+			r, err := rule.DecodeKey(key, p.NumDims(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			k, err := p.Pack(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[k] = Merge(out[k], v)
+		}
+	}
+	return out
+}
+
+// stringCube runs the string pipeline over the packed fixture partitions and
+// returns its candidate set re-keyed by packed word — the oracle the table
+// pipeline is held to.
+func stringCube(t testing.TB, p *rule.Packer, in []map[uint64]Agg, groups [][]int) map[uint64]Agg {
+	t.Helper()
+	c := newTestCluster()
+	defer c.Close()
+	strIn := make([]map[string]Agg, len(in))
+	for i, part := range in {
+		strIn[i] = stringKeyed(t, p, part)
+	}
+	res, err := Compute(c, engine.NewPColl(strIn), p.NumDims(), groups)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return packedKeyed(t, p, res.Parts()...)
+}
+
 func sameAggMaps(t *testing.T, label string, a, b map[uint64]Agg) {
 	t.Helper()
 	if len(a) != len(b) {
@@ -156,8 +210,9 @@ func TestPackedTableMergeTable(t *testing.T) {
 	sameAggMaps(t, "merge", model, a.Map())
 }
 
-// TestMapAncestorsTableMatchesMap holds the table map-stage to the packed map
-// path: same ancestors, same aggregates, same emission count.
+// TestMapAncestorsTableMatchesMap holds the table map-stage to the string
+// pipeline's map stage over the decoded keys: same ancestors, same
+// aggregates, same emission count.
 func TestMapAncestorsTableMatchesMap(t *testing.T) {
 	p, ok := rule.NewPacker([]int{5, 9, 2, 4})
 	if !ok {
@@ -183,17 +238,18 @@ func TestMapAncestorsTableMatchesMap(t *testing.T) {
 		for k, v := range part {
 			src.Add(k, v)
 		}
-		wantMap, wantEmitted, err := pk.MapAncestors(part, group)
+		wantStr, wantEmitted, err := stringAncestors(stringKeyed(t, p, part), 4, group)
 		if err != nil {
 			t.Fatal(err)
 		}
+		wantMap := packedKeyed(t, p, wantStr)
 		dst := NewPackedTable(0)
 		emitted, err := pk.MapAncestorsTable(src, dst, group)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if emitted != wantEmitted {
-			t.Errorf("group %v: emitted %d, map path emitted %d", group, emitted, wantEmitted)
+			t.Errorf("group %v: emitted %d, string path emitted %d", group, emitted, wantEmitted)
 		}
 		sameAggMaps(t, "ancestors", wantMap, dst.Map())
 	}
@@ -229,28 +285,19 @@ func TestMapAncestorsTableRejectsBlowup(t *testing.T) {
 	}
 }
 
-// TestComputeTablesMatchesComputePacked is the tentpole's correctness oracle:
-// the table pipeline must produce exactly the candidate set of the map
-// pipeline, for single- and multi-stage groupings.
+// TestComputeTablesMatchesComputePacked is the table pipeline's correctness
+// oracle: it must produce exactly the candidate set of the string pipeline
+// over the same instances, for single- and multi-stage groupings.
 func TestComputeTablesMatchesComputePacked(t *testing.T) {
 	p := flightsPacker(t)
 	pk := PackedKeys{P: p}
 	for _, g := range []int{1, 2, 3} {
-		c1, c2 := newTestCluster(), newTestCluster()
+		c2 := newTestCluster()
 		groups := SplitGroups(3, g)
-		maps, err := ComputePacked(c1, engine.NewPColl(packedTupleInstances(t, 3)), p, groups)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := stringCube(t, p, packedTupleInstances(t, 3), groups)
 		tables, err := ComputeTables(c2, engine.NewPColl(tablesFromMaps(packedTupleInstances(t, 3))), pk, groups)
 		if err != nil {
 			t.Fatal(err)
-		}
-		want := make(map[uint64]Agg)
-		for _, part := range maps.Parts() {
-			for k, v := range part {
-				want[k] = Merge(want[k], v)
-			}
 		}
 		got := make(map[uint64]Agg)
 		for _, part := range tables.Parts() {
@@ -265,7 +312,6 @@ func TestComputeTablesMatchesComputePacked(t *testing.T) {
 			t.Errorf("g=%d: CountTableCandidates = %d, want 74", g, CountTableCandidates(c2, tables))
 		}
 		sameAggMaps(t, "compute", want, got)
-		c1.Close()
 		c2.Close()
 	}
 }
@@ -301,36 +347,26 @@ func TestQuickComputeTablesEquivalence(t *testing.T) {
 			k := p.PackCodes(ru)
 			in1[i%2][k] = Merge(in1[i%2][k], agg)
 		}
-		c1, c2 := newTestCluster(), newTestCluster()
+		c2 := newTestCluster()
 		groups := SplitGroups(d, g)
-		maps, err := ComputePacked(c1, engine.NewPColl(in1), p, groups)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := stringCube(t, p, in1, groups)
 		tables, err := ComputeTables(c2, engine.NewPColl(tablesFromMaps(in1)), PackedKeys{P: p}, groups)
 		if err != nil {
 			t.Fatal(err)
-		}
-		want := make(map[uint64]Agg)
-		for _, part := range maps.Parts() {
-			for k, v := range part {
-				want[k] = Merge(want[k], v)
-			}
 		}
 		got := make(map[uint64]Agg)
 		for _, part := range tables.Parts() {
 			part.ForEach(func(k uint64, a Agg) { got[k] = a })
 		}
 		sameAggMaps(t, "quick", want, got)
-		c1.Close()
 		c2.Close()
 	}
 }
 
 // TestTableShuffleAccounting pins the honest shuffle cost of the table path:
 // every record is charged TableRecordBytes = 32 bytes — the 8-byte packed key
-// plus the 24-byte aggregate — exactly like PackedKeys.RecordBytes on the map
-// path, and every input entry lands in exactly one output partition.
+// plus the 24-byte aggregate, whatever the rule arity — and every input entry
+// lands in exactly one output partition.
 func TestTableShuffleAccounting(t *testing.T) {
 	c := newTestCluster()
 	defer c.Close()

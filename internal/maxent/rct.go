@@ -2,6 +2,7 @@ package maxent
 
 import (
 	"fmt"
+	"slices"
 
 	"sirum/internal/bitset"
 	"sirum/internal/dataset"
@@ -228,9 +229,17 @@ func (s *RCTScaler) productOf(ba []uint64) float64 {
 // scale runs the Algorithm 3 loop over the RCT only.
 func (s *RCTScaler) scale() (ScaleStats, error) {
 	var st ScaleStats
-	rows := make([]*rctRow, 0, len(s.rct))
-	for _, row := range s.rct {
-		rows = append(rows, row)
+	// Rows in coverage-signature order, not map order: the per-rule sums
+	// below then add in one order every run, so equal fits scale along the
+	// same path and converge to the same bits.
+	keys := make([]string, 0, len(s.rct))
+	for key := range s.rct {
+		keys = append(keys, key)
+	}
+	slices.Sort(keys)
+	rows := make([]*rctRow, len(keys))
+	for i, key := range keys {
+		rows[i] = s.rct[key]
 	}
 	diffs := make([]float64, len(s.rules))
 	mhatAvg := make([]float64, len(s.rules))

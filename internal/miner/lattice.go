@@ -13,20 +13,23 @@ import (
 
 // candSpace is the build-once state of one candidate space: the leaf memo
 // (lcaMemo) and, on packed schemas, the frozen lattice above it. A Prep
-// holds one per space its queries can share; a query with a sample of its
-// own gets a private one, so its rounds 2..K replay what round 1 built. One
-// builder at a time: concurrent first queries wait on mu and then replay.
+// holds one per space its queries can share; a table-rounds query with a
+// sample of its own gets a private one, so its rounds 2..K replay what round
+// 1 built. One builder at a time: concurrent first queries wait on mu and
+// then replay. A Prep's schema packs or it does not, so a space only ever
+// fills the fields of one kind of rounds.
 type candSpace struct {
-	mu     sync.Mutex
-	memo   any      // *lcaMemo[K] in the representation mineScoped selects
-	lat    *lattice // nil until the first packed query's first round
-	latOff bool     // the lattice exceeds memoMaxEntries: stay on the per-round pipeline
+	mu      sync.Mutex
+	strMemo *lcaMemo[string] // string rounds' leaf memo
+	memo    *lcaMemo[uint64] // table rounds' leaf memo
+	lat     *lattice         // nil until the first table round over the space
+	latOff  bool             // the lattice exceeds memoMaxEntries: stay on the per-round pipeline
 }
 
 // drop releases the memo and the lattice; the next query rebuilds them.
 func (sp *candSpace) drop() {
 	sp.mu.Lock()
-	sp.memo, sp.lat, sp.latOff = nil, nil, false
+	sp.strMemo, sp.memo, sp.lat, sp.latOff = nil, nil, nil, false
 	sp.mu.Unlock()
 }
 
@@ -59,15 +62,15 @@ type lattice struct {
 }
 
 // acquireLattice gives the query its space's lattice, building it on first
-// use from the leaf memo or, without one, from this round's leaf tables. A
-// space past the entry budget is forgotten: the query, and every later one,
+// use from this round's leaf tables or, when lcas is nil, from the leaf memo.
+// A space past the entry budget is forgotten: the query, and every later one,
 // stays on the per-round pipeline.
-func (q *query[K]) acquireLattice(pc candgen.PackedCodec, memo *lcaMemo[uint64], lcas *engine.PColl[*cube.PackedTable]) error {
-	sp := q.space
+func (tr *tableRounds) acquireLattice(lcas *engine.PColl[*cube.PackedTable]) error {
+	sp := tr.space
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
 	if sp.lat == nil && !sp.latOff {
-		lat, err := q.buildLattice(pc, memo, lcas)
+		lat, err := tr.buildLattice(lcas)
 		switch {
 		case errors.Is(err, cube.ErrLatticeTooLarge):
 			sp.latOff = true
@@ -77,8 +80,8 @@ func (q *query[K]) acquireLattice(pc candgen.PackedCodec, memo *lcaMemo[uint64],
 			sp.lat = lat
 		}
 	}
-	if q.lat = sp.lat; q.lat == nil {
-		q.space = nil
+	if tr.lat = sp.lat; tr.lat == nil {
+		tr.space = nil
 	}
 	return nil
 }
@@ -87,8 +90,12 @@ func (q *query[K]) acquireLattice(pc candgen.PackedCodec, memo *lcaMemo[uint64],
 // the first round's cube and fix-up and is charged like them: the structure
 // as ancestor generation (one engine task, so simulated backends price it),
 // the match counts as gain computation.
-func (q *query[K]) buildLattice(pc candgen.PackedCodec, memo *lcaMemo[uint64], lcas *engine.PColl[*cube.PackedTable]) (*lattice, error) {
-	lat := &lattice{memo: memo}
+func (tr *tableRounds) buildLattice(lcas *engine.PColl[*cube.PackedTable]) (*lattice, error) {
+	q, pc := tr.q, tr.pc
+	lat := &lattice{}
+	if lcas == nil {
+		lat.memo = tr.memo
+	}
 	err := q.timed(metrics.PhaseAncestorGen, func() (err error) {
 		q.c.RunStage("cube/freeze", 1, func(int) { err = lat.freeze(pc, lcas) })
 		return err
@@ -184,17 +191,17 @@ func (lat *lattice) redundantMask(pc candgen.PackedCodec) ([]bool, int) {
 // the round's leaf tables when the lattice has no leaf memo; they are
 // consumed. The result views the lattice's arrays and the query's vector —
 // nothing to release.
-func (q *query[K]) replayRound(pc candgen.PackedCodec, lcas *engine.PColl[*cube.PackedTable]) (candSet[K], int64, error) {
-	lat := q.lat
+func (tr *tableRounds) replayRound(lcas *engine.PColl[*cube.PackedTable]) (candgen.SlotCandidates, int64, error) {
+	q, lat := tr.q, tr.lat
 	n := lat.NumSlots()
-	if q.sumMhat == nil {
-		q.sumMhat = engine.BorrowColumn(q.c, n)
+	if tr.sumMhat == nil {
+		tr.sumMhat = engine.BorrowColumn(q.c, n)
 	}
-	vec := q.sumMhat
+	vec := tr.sumMhat
 	err := q.timed(metrics.PhaseCandPruning, func() error {
 		clear(vec)
 		if lcas == nil {
-			return q.gatherMemoLeaves(vec)
+			return tr.gatherMemoLeaves(vec)
 		}
 		defer cube.ReleaseTables(q.c, lcas)
 		missing := false
@@ -213,7 +220,7 @@ func (q *query[K]) replayRound(pc candgen.PackedCodec, lcas *engine.PColl[*cube.
 		return nil
 	})
 	if err != nil {
-		return candSet[K]{}, 0, err
+		return candgen.SlotCandidates{}, 0, err
 	}
 	_ = q.timed(metrics.PhaseAncestorGen, func() error {
 		q.c.RunStage("cube/replay", 1, func(int) { lat.Propagate(vec) })
@@ -221,7 +228,7 @@ func (q *query[K]) replayRound(pc candgen.PackedCodec, lcas *engine.PColl[*cube.
 		q.c.Reg().Add(metrics.CtrPairsEmitted, int64(lat.NumEdges()))
 		return nil
 	})
-	cands := &candgen.SlotCandidates{Keys: lat.Keys(), SumM: lat.sumM, SumMhat: vec, Count: lat.count}
+	cands := candgen.SlotCandidates{Keys: lat.Keys(), SumM: lat.sumM, SumMhat: vec, Count: lat.count}
 	_ = q.timed(metrics.PhaseGainComputing, func() error {
 		if lat.match != nil {
 			q.c.RunStage("candgen/adjust", 1, func(int) {
@@ -232,24 +239,24 @@ func (q *query[K]) replayRound(pc candgen.PackedCodec, lcas *engine.PColl[*cube.
 		}
 		if q.opt.PruneRedundantAncestors {
 			var pruned int
-			cands.Skip, pruned = lat.redundantMask(pc)
+			cands.Skip, pruned = lat.redundantMask(tr.pc)
 			n -= pruned
 		}
 		return nil
 	})
-	return candSet[K]{slots: cands}, int64(n), nil
+	return cands, int64(n), nil
 }
 
 // gatherMemoLeaves sums this query's estimates over each memoized leaf's
 // rows — in parallel per block into a scratch column, then onto the leaf
 // slots block by block, so a slot fed from several blocks always adds them
 // in one order.
-func (q *query[K]) gatherMemoLeaves(vec []float64) error {
-	lat := q.lat
-	if q.leafMhat == nil {
-		q.leafMhat = engine.BorrowColumn(q.c, len(lat.leafSlots))
+func (tr *tableRounds) gatherMemoLeaves(vec []float64) error {
+	q, lat := tr.q, tr.lat
+	if tr.leafMhat == nil {
+		tr.leafMhat = engine.BorrowColumn(q.c, len(lat.leafSlots))
 	}
-	partial := q.leafMhat
+	partial := tr.leafMhat
 	err := q.data.Scan("miner/lca-replay", false, func(bi int, b *engine.TupleBlock) {
 		mb := &lat.memo.blocks[bi]
 		out := partial[lat.leafOff[bi]:lat.leafOff[bi+1]]

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"sirum/internal/candgen"
 	"sirum/internal/cube"
 	"sirum/internal/datagen"
 	"sirum/internal/dataset"
@@ -91,12 +90,15 @@ func roundCandidates(t *testing.T, p *Prep, opt Options, rounds int) ([]map[uint
 	qc := engine.NewQueryScope(p.c)
 	defer qc.Finish()
 	opt = opt.withDefaults()
-	q, err := newQuery(p, qc, opt, candgen.NewPackedCodec(p.packer))
+	q, err := newQuery(p, qc, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer q.data.Drop()
-	groups := cube.SplitGroups(p.ds.NumDims(), opt.ColumnGroups)
+	tr, err := newTableRounds(q)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var out []map[uint64]cube.Agg
 	for r := 0; r < rounds; r++ {
 		if err := q.data.Scan("test/estimates", true, func(_ int, b *engine.TupleBlock) {
@@ -106,30 +108,38 @@ func roundCandidates(t *testing.T, p *Prep, opt Options, rounds int) ([]map[uint
 		}); err != nil {
 			t.Fatal(err)
 		}
-		cs, n, err := q.generateCandidates(groups)
+		lcas, err := tr.leaves()
 		if err != nil {
 			t.Fatal(err)
 		}
 		got := make(map[uint64]cube.Agg)
-		switch {
-		case cs.slots != nil:
-			for slot, k := range cs.slots.Keys {
-				got[k] = cube.Agg{SumM: cs.slots.SumM[slot], SumMhat: cs.slots.SumMhat[slot], Count: cs.slots.Count[slot]}
+		var n int64
+		if tr.lat != nil {
+			slots, ns, err := tr.replayRound(lcas)
+			if err != nil {
+				t.Fatal(err)
 			}
-		case cs.tables != nil:
-			for _, part := range cs.tables.Parts() {
+			for slot, k := range slots.Keys {
+				got[k] = cube.Agg{SumM: slots.SumM[slot], SumMhat: slots.SumMhat[slot], Count: slots.Count[slot]}
+			}
+			n = ns
+		} else {
+			tables, nt, err := tr.computeRound(lcas)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, part := range tables.Parts() {
 				part.ForEach(func(k uint64, a cube.Agg) { got[k] = a })
 			}
-		default:
-			t.Fatal("packed query produced map candidates")
+			cube.ReleaseTables(q.c, tables)
+			n = nt
 		}
-		cs.release(q.c)
 		if int64(len(got)) != n {
 			t.Fatalf("round %d reports %d candidates, holds %d", r, n, len(got))
 		}
 		out = append(out, got)
 	}
-	return out, q.lat != nil
+	return out, tr.lat != nil
 }
 
 // aggDiff is |a-b| relative to the larger magnitude once that passes 1.

@@ -235,19 +235,18 @@ func TestMultiRuleSelectionInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	codec := candgen.NewStringCodec(3)
-	q := &query[string]{
-		p:     &Prep{c: c, ds: ds, dataBytes: ds.ApproxBytes()},
-		c:     engine.NewQueryScope(c),
-		opt:   opt,
-		codec: codec,
-		data:  data,
+	sr := &stringRounds{
+		q: &query{
+			p:      &Prep{c: c, ds: ds, dataBytes: ds.ApproxBytes()},
+			c:      engine.NewQueryScope(c),
+			opt:    opt,
+			data:   data,
+			groups: [][]int{{0, 1, 2}},
+		},
+		codec:    candgen.NewStringCodec(3),
+		selected: map[string]bool{},
 	}
-	cands, n, err := q.generateCandidates([][]int{{0, 1, 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	picked, err := q.selectRules(cands, n, map[string]bool{}, 3)
+	picked, _, err := sr.round(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,21 +255,13 @@ func TestMultiRuleSelectionInvariants(t *testing.T) {
 	}
 	for i := 0; i < len(picked); i++ {
 		for j := i + 1; j < len(picked); j++ {
-			ri, err := codec.DecodeRule(picked[i].Key, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rj, err := codec.DecodeRule(picked[j].Key, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ri.Disjoint(rj) {
+			if ri, rj := picked[i].rule, picked[j].rule; !ri.Disjoint(rj) {
 				t.Errorf("picked rules %v and %v overlap", ri.Format(ds.Dicts), rj.Format(ds.Dicts))
 			}
 		}
 	}
 	for i := 1; i < len(picked); i++ {
-		if picked[i].Gain > picked[0].Gain {
+		if picked[i].gain > picked[0].gain {
 			t.Error("extra rule has higher gain than the top rule")
 		}
 	}

@@ -12,6 +12,7 @@ import (
 	"sirum/internal/dataset"
 	"sirum/internal/engine"
 	"sirum/internal/maxent"
+	"sirum/internal/metrics"
 	"sirum/internal/rule"
 	"sirum/internal/stats"
 )
@@ -271,30 +272,39 @@ func (p *Prep) memoFits(sample *candgen.Sample) bool {
 	return incidences <= int64(memoMaxEntries)
 }
 
-// memoFor returns the space's LCA memo, building it from q's fork on first
-// use (one builder at a time; concurrent first queries wait). The memo is
-// keyed in the representation mineScoped selects; that choice is a function
-// of the prepared dataset, so every query of one Prep agrees on K.
-func memoFor[K cmp.Ordered](sp *candSpace, q *query[K]) (*lcaMemo[K], error) {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	if sp.memo != nil {
-		m, ok := sp.memo.(*lcaMemo[K])
-		if !ok {
-			return nil, fmt.Errorf("miner: internal: LCA memo key representation mismatch")
+// leafKeys is a codec's leaf enumeration (ForEachLeafKey): every (leaf key,
+// block row) incidence of a block in ascending row order.
+type leafKeys[K cmp.Ordered] func(b *engine.TupleBlock, s *candgen.Sample, ix *candgen.InvertedIndex, emit func(key K, row int))
+
+// memoFor returns the LCA memo of the shared space sp in the caller's key
+// representation — slot is sp's field for it — building it from q's fork on
+// first use (one builder at a time; concurrent first queries wait). It is nil
+// when the memo would pass memoMaxEntries. The first query pays the build (it
+// replaces that query's first LCA round, so it is charged as candidate
+// pruning); later queries get it for free.
+func memoFor[K cmp.Ordered](q *query, sp *candSpace, slot **lcaMemo[K], forEachLeaf leafKeys[K]) (*lcaMemo[K], error) {
+	if !q.p.memoFits(q.sample) {
+		return nil, nil
+	}
+	var memo *lcaMemo[K]
+	err := q.timed(metrics.PhaseCandPruning, func() error {
+		sp.mu.Lock()
+		defer sp.mu.Unlock()
+		if *slot == nil {
+			var ix *candgen.InvertedIndex
+			if q.sample != nil {
+				ix = q.p.indexFor() // a shared space's sample is the prepared one
+			}
+			built, err := buildLCAMemo(q.c, q.data, q.sample, ix, forEachLeaf)
+			if err != nil {
+				return err
+			}
+			*slot = built
 		}
-		return m, nil
-	}
-	var ix *candgen.InvertedIndex
-	if q.sample != nil {
-		ix = q.p.indexFor() // a shared space's sample is the prepared one
-	}
-	memo, err := buildLCAMemo(q.c, q.data, q.sample, ix, q.codec)
-	if err != nil {
-		return nil, err
-	}
-	sp.memo = memo
-	return memo, nil
+		memo = *slot
+		return nil
+	})
+	return memo, err
 }
 
 // lcaMemo caches, per block, the estimate-independent part of the LCA (or
@@ -327,11 +337,11 @@ func (mb *lcaMemoBlock[K]) sumMhat(ki int, mhat []float64) float64 {
 }
 
 // buildLCAMemo scans the data once, producing the same per-block key sets as
-// the codec's LCAParts (or ExhaustiveParts when s is nil) while recording
+// the pipeline's LCA scan (or exhaustive scan when s is nil) while recording
 // the row incidences. The codec enumerates incidences in ascending row
 // order, matching the summation order of the direct computation, so memoized
 // aggregates are bit-identical to recomputed ones.
-func buildLCAMemo[K cmp.Ordered](c engine.Backend, data *engine.CachedData, s *candgen.Sample, ix *candgen.InvertedIndex, codec candgen.Codec[K]) (*lcaMemo[K], error) {
+func buildLCAMemo[K cmp.Ordered](c engine.Backend, data *engine.CachedData, s *candgen.Sample, ix *candgen.InvertedIndex, forEachLeaf leafKeys[K]) (*lcaMemo[K], error) {
 	memo := &lcaMemo[K]{blocks: make([]lcaMemoBlock[K], data.NumBlocks())}
 	err := data.Scan("miner/lca-memo", false, func(bi int, b *engine.TupleBlock) {
 		type entry struct {
@@ -340,7 +350,7 @@ func buildLCAMemo[K cmp.Ordered](c engine.Backend, data *engine.CachedData, s *c
 			rows  []int32
 		}
 		local := make(map[K]*entry)
-		codec.ForEachLeafKey(b, s, ix, func(key K, i int) {
+		forEachLeaf(b, s, ix, func(key K, i int) {
 			e, ok := local[key]
 			if !ok {
 				e = &entry{}
@@ -371,9 +381,9 @@ func buildLCAMemo[K cmp.Ordered](c engine.Backend, data *engine.CachedData, s *c
 	return memo, nil
 }
 
-// memoTableParts is lcaMemo.parts into borrowed flat tables — the packed
-// replay path. A free function rather than a method because only K = uint64
-// has a table representation; generateTableCandidates proves the cast.
+// memoTableParts materializes this round's leaf aggregates from the memo and
+// the query's current estimates into borrowed flat tables: one scan summing
+// Mhat over each key's covered rows.
 func memoTableParts(m *lcaMemo[uint64], c engine.Backend, data *engine.CachedData) (*engine.PColl[*cube.PackedTable], error) {
 	out := make([]*cube.PackedTable, data.NumBlocks())
 	err := data.Scan("miner/lca-replay", false, func(bi int, b *engine.TupleBlock) {
@@ -390,14 +400,12 @@ func memoTableParts(m *lcaMemo[uint64], c engine.Backend, data *engine.CachedDat
 	return engine.NewPColl(out), nil
 }
 
-// parts materializes this round's candidate aggregates from the memo and the
-// query's current estimates: one scan summing Mhat over each key's covered
-// rows.
-func (m *lcaMemo[K]) parts(c engine.Backend, data *engine.CachedData) (*engine.PColl[map[K]cube.Agg], error) {
-	out := make([]map[K]cube.Agg, data.NumBlocks())
+// memoStringParts is memoTableParts into per-block maps, for string rounds.
+func memoStringParts(m *lcaMemo[string], c engine.Backend, data *engine.CachedData) (*engine.PColl[map[string]cube.Agg], error) {
+	out := make([]map[string]cube.Agg, data.NumBlocks())
 	err := data.Scan("miner/lca-replay", false, func(bi int, b *engine.TupleBlock) {
 		mb := &m.blocks[bi]
-		local := make(map[K]cube.Agg, len(mb.keys))
+		local := make(map[string]cube.Agg, len(mb.keys))
 		for ki, k := range mb.keys {
 			local[k] = cube.Agg{SumM: mb.sumM[ki], SumMhat: mb.sumMhat(ki, b.Mhat), Count: mb.count[ki]}
 		}

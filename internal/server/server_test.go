@@ -941,6 +941,87 @@ func TestServerSnapshotRestart(t *testing.T) {
 	}
 }
 
+// incomeBatches cuts n append batches of the given size out of an income
+// draw no session was created from.
+func incomeBatches(t *testing.T, n, size int) [][]RowJSON {
+	t.Helper()
+	ds, err := sirum.Generate("income", n*size, 91)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := ds.WriteCSV(&sb); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")[1:] // drop the header
+	out := make([][]RowJSON, n)
+	for i, line := range lines {
+		fields := strings.Split(line, ",")
+		var m float64
+		if _, err := fmt.Sscan(fields[len(fields)-1], &m); err != nil {
+			t.Fatal(err)
+		}
+		out[i/size] = append(out[i/size], RowJSON{Dims: fields[:len(fields)-1], Measure: m})
+	}
+	return out
+}
+
+// TestServerAppendIdenticalLiveAndRestored pins what a deterministic scaler
+// buys the serving path: an append answers the same — the re-mine decision,
+// the KL to the last bit, the maintained rules — on a session that lived
+// through its history and on one rebuilt from the journal of that history.
+func TestServerAppendIdenticalLiveAndRestored(t *testing.T) {
+	batches := incomeBatches(t, 4, 60)
+	appendTo := func(url string, batch []RowJSON) AppendResponse {
+		t.Helper()
+		var resp AppendResponse
+		if status := call(t, "POST", url+"/v1/datasets/s/append", AppendRequest{
+			Rows:        batch,
+			MineRequest: MineRequest{K: 8, SampleSize: 16, Seed: 2},
+		}, &resp); status != http.StatusOK {
+			t.Fatalf("append: status %d", status)
+		}
+		return resp
+	}
+
+	_, live := testServer(t, Config{})
+	createIncome(t, live.URL, "s", 3000)
+	var want AppendResponse
+	for _, batch := range batches {
+		want = appendTo(live.URL, batch)
+	}
+
+	dir := t.TempDir()
+	s1 := New(Config{SnapshotDir: dir})
+	ts1 := httptest.NewServer(s1.Handler())
+	createIncome(t, ts1.URL, "s", 3000)
+	for _, batch := range batches[:3] {
+		appendTo(ts1.URL, batch)
+	}
+	ts1.Close()
+	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2 := New(Config{SnapshotDir: dir})
+	if n, err := s2.Restore(); err != nil || n != 1 {
+		t.Fatalf("restore: %d sessions, %v", n, err)
+	}
+	ts2 := httptest.NewServer(s2.Handler())
+	t.Cleanup(func() {
+		ts2.Close()
+		s2.Close()
+	})
+	got := appendTo(ts2.URL, batches[3])
+
+	if got.Remined != want.Remined || got.Rows != want.Rows || got.KL != want.KL {
+		t.Errorf("restored session: remined %v rows %d KL %v; live session: remined %v rows %d KL %v",
+			got.Remined, got.Rows, got.KL, want.Remined, want.Rows, want.KL)
+	}
+	if !reflect.DeepEqual(got.Rules, want.Rules) {
+		t.Errorf("maintained rules differ:\nrestored %+v\nlive     %+v", got.Rules, want.Rules)
+	}
+}
+
 // TestServerMetricsEndpoint pins the Prometheus-style text format:
 // admission and cache counters plus per-session lifetime stats.
 func TestServerMetricsEndpoint(t *testing.T) {

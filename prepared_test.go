@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -480,20 +481,55 @@ func TestPreparedExploreSharesExhaustiveLattice(t *testing.T) {
 	}
 }
 
+// seenRows is a test's own copy of every row it gave a session, so a rule's
+// aggregates can be checked against a plain scan.
+type seenRows struct {
+	dims []string
+	vals [][]string
+	m    []float64
+}
+
+func (s *seenRows) add(vals []string, m float64) {
+	s.vals = append(s.vals, vals)
+	s.m = append(s.m, m)
+}
+
+// check holds every rule's count and average to a scan of the rows.
+func (s *seenRows) check(t *testing.T, label string, rules []Rule) {
+	t.Helper()
+	if len(rules) == 0 {
+		t.Fatalf("%s: no rules", label)
+	}
+	for _, r := range rules {
+		var count int64
+		var sum float64
+	rows:
+		for i, vals := range s.vals {
+			for _, c := range r.Conditions {
+				for j, name := range s.dims {
+					if name == c.Attr && vals[j] != c.Value {
+						continue rows
+					}
+				}
+			}
+			count++
+			sum += s.m[i]
+		}
+		if avg := sum / float64(count); count != r.Count || relErr(avg, r.Avg) > 1e-9 {
+			t.Errorf("%s: rule %s reports count %d avg %v, the rows say %d and %v", label, r, r.Count, r.Avg, count, avg)
+		}
+	}
+}
+
 // TestPreparedAppendRebuildsLattices: an Append replaces the prepared state,
 // so no lattice frozen over the old data — or the old dictionaries: this
 // batch's new value widens a key field — is replayed afterwards. Every rule
 // returned after the Append must hold against a scan of all the rows.
 func TestPreparedAppendRebuildsLattices(t *testing.T) {
-	dims := []string{"a", "b", "c", "d"}
-	type row struct {
-		vals []string
-		m    float64
-	}
-	var rows []row
+	rows := seenRows{dims: []string{"a", "b", "c", "d"}}
 	gen := func(n int, seed int64, aVals []string, lift float64) *Dataset {
 		r := rand.New(rand.NewSource(seed))
-		b := NewBuilder(dims, "m")
+		b := NewBuilder(rows.dims, "m")
 		for i := 0; i < n; i++ {
 			vals := []string{
 				aVals[r.Intn(len(aVals))],
@@ -511,7 +547,7 @@ func TestPreparedAppendRebuildsLattices(t *testing.T) {
 			if err := b.Add(vals, m); err != nil {
 				t.Fatal(err)
 			}
-			rows = append(rows, row{vals, m})
+			rows.add(vals, m)
 		}
 		ds, err := b.Build()
 		if err != nil {
@@ -519,33 +555,9 @@ func TestPreparedAppendRebuildsLattices(t *testing.T) {
 		}
 		return ds
 	}
-	scan := func(r Rule) (count int64, avg float64) {
-		var sum float64
-	rows:
-		for _, rw := range rows {
-			for _, c := range r.Conditions {
-				for j, name := range dims {
-					if name == c.Attr && rw.vals[j] != c.Value {
-						continue rows
-					}
-				}
-			}
-			count++
-			sum += rw.m
-		}
-		return count, sum / float64(count)
-	}
 	check := func(label string, rules []Rule) {
 		t.Helper()
-		if len(rules) == 0 {
-			t.Fatalf("%s: no rules", label)
-		}
-		for _, r := range rules {
-			count, avg := scan(r)
-			if count != r.Count || relErr(avg, r.Avg) > 1e-9 {
-				t.Errorf("%s: rule %s reports count %d avg %v, the rows say %d and %v", label, r, r.Count, r.Avg, count, avg)
-			}
-		}
+		rows.check(t, label, rules)
 	}
 	mentions := func(rules []Rule, value string) bool {
 		for _, r := range rules {
@@ -590,4 +602,127 @@ func TestPreparedAppendRebuildsLattices(t *testing.T) {
 	if !mentions(mined.Rules, "a-new") || !mentions(explored.Result.Rules, "a-new") {
 		t.Errorf("the appended value dominates the grown data but no rule names it:\n%v\n%v", mined.Rules, explored.Result.Rules)
 	}
+}
+
+// TestPreparedAppendCrossesPackBoundary is the one place the two candidate
+// pipelines meet in a live session: a schema needing exactly 64 key bits
+// answers through table rounds, an Append whose new value takes a field one
+// bit wider re-prepares the session onto string rounds, and nothing but the
+// pipeline changes — every rule still holds against a scan of all the rows,
+// each answer equals a cold run over the concatenated rows, and a repeat
+// answers the same.
+func TestPreparedAppendCrossesPackBoundary(t *testing.T) {
+	// Realised domains of 7, 31 and seven times 128 values: 3 + 5 + 7·8 bits.
+	doms := []int{7, 31, 128, 128, 128, 128, 128, 128, 128}
+	rows := seenRows{}
+	for j := range doms {
+		rows.dims = append(rows.dims, fmt.Sprintf("w%d", j))
+	}
+	header := strings.Join(rows.dims, ",") + ",score\n"
+	var all strings.Builder // the session's whole history as one CSV
+	all.WriteString(header)
+	// csvOf draws n rows — the first 128 walk every domain, the rest are
+	// Zipf-skewed so rules have support — and logs them. w0Extra, when set,
+	// is a value of w0 the base data never held.
+	csvOf := func(n int, seed int64, w0Extra string) string {
+		r := rand.New(rand.NewSource(seed))
+		zipfs := make([]*rand.Zipf, len(doms))
+		for j, dom := range doms {
+			zipfs[j] = rand.NewZipf(r, 1.3, 2, uint64(dom-1))
+		}
+		var sb strings.Builder
+		for i := 0; i < n; i++ {
+			vals := make([]string, len(doms))
+			for j, dom := range doms {
+				code := int(zipfs[j].Uint64())
+				if w0Extra == "" && i < 128 {
+					code = i % dom
+				}
+				vals[j] = fmt.Sprintf("v%d", code)
+			}
+			m := 10 + r.NormFloat64()
+			if vals[1] == "v2" {
+				m += 6
+			}
+			if vals[0] == "v1" && vals[3] == "v0" {
+				m += 4
+			}
+			if w0Extra != "" && i%2 == 0 {
+				vals[0] = w0Extra
+				m += 12
+			}
+			rows.add(vals, m)
+			fmt.Fprintf(&sb, "%s,%v\n", strings.Join(vals, ","), m) // %v round-trips a float64 exactly
+		}
+		all.WriteString(sb.String())
+		return sb.String()
+	}
+	read := func(csv string) *Dataset {
+		t.Helper()
+		ds, err := ReadCSV(strings.NewReader(csv), "score")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ds
+	}
+
+	mine, explore := Options{K: 4, SampleSize: 16, Seed: 2}, ExploreOptions{K: 3, GroupBys: 1}
+	// query answers a Mine and an Explore twice over, checks every rule of
+	// every answer against the rows and the repeat against the first answer,
+	// and returns the repeat.
+	query := func(p *Prepared, label string) (*Result, *ExploreResult) {
+		t.Helper()
+		var mined [2]*Result
+		var explored [2]*ExploreResult
+		for pass := range mined {
+			var err error
+			if mined[pass], err = p.Mine(mine); err != nil {
+				t.Fatal(err)
+			}
+			if explored[pass], err = p.Explore(explore); err != nil {
+				t.Fatal(err)
+			}
+			rows.check(t, label+" mine", mined[pass].Rules)
+			rows.check(t, label+" explore", explored[pass].Result.Rules)
+			rows.check(t, label+" prior", explored[pass].Prior)
+		}
+		assertSameResult(t, label+" repeated mine", mined[0], mined[1])
+		assertSameResult(t, label+" repeated explore", explored[0].Result, explored[1].Result)
+		return mined[1], explored[1]
+	}
+	ranCube := func(r *Result) bool {
+		return r.Metrics.Counters["shuffle_records"] >= r.Metrics.Counters["candidates"]
+	}
+
+	p, err := read(header + csvOf(260, 1, "")).Prepare(PrepareOptions{SampleSize: 16, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	mined, explored := query(p, "packed")
+	if ranCube(mined) || ranCube(explored.Result) {
+		t.Errorf("a 64-bit schema did not answer its repeats by lattice replay: mine shuffled %d records for %d candidates, explore %d for %d",
+			mined.Metrics.Counters["shuffle_records"], mined.Metrics.Counters["candidates"],
+			explored.Result.Metrics.Counters["shuffle_records"], explored.Result.Metrics.Counters["candidates"])
+	}
+
+	// An eighth value of w0 takes its field from 3 bits to 4: 65 in all.
+	if _, err := p.Append(read(header+csvOf(80, 2, "v-new")), mine); err != nil {
+		t.Fatal(err)
+	}
+	mined, explored = query(p, "string")
+	if !ranCube(mined) || !ranCube(explored.Result) {
+		t.Error("a 65-bit schema answered without running the string cube")
+	}
+	grown := read(all.String())
+	coldMined, err := grown.Mine(mine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameResult(t, "mine after the append", coldMined, mined)
+	coldExplored, err := grown.Explore(explore)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameResult(t, "explore after the append", coldExplored.Result, explored.Result)
 }

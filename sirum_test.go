@@ -210,3 +210,37 @@ func TestFit(t *testing.T) {
 		t.Error("unknown value accepted")
 	}
 }
+
+// TestFitRepeatsBitForBit: equal Fit calls scale along one path. The RCT
+// scaler used to sum its coverage-table rows in Go map order, so the same
+// rule list converged to several KL bit patterns — and Fit's scaler is the
+// one behind every Append's KL and re-mine decision, which a journal replay
+// must reproduce.
+func TestFitRepeatsBitForBit(t *testing.T) {
+	ds, err := Generate("income", 3000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mined, err := ds.Mine(Options{K: 8, SampleSize: 16, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(mined.Rules) != 8 {
+		t.Fatalf("mined %d rules, want 8", len(mined.Rules))
+	}
+	rules := make([][]Condition, len(mined.Rules))
+	for i, r := range mined.Rules {
+		rules[i] = r.Conditions
+	}
+	patterns := map[uint64]bool{}
+	for i := 0; i < 12; i++ {
+		_, kl, err := ds.Fit(rules)
+		if err != nil {
+			t.Fatal(err)
+		}
+		patterns[math.Float64bits(kl)] = true
+	}
+	if len(patterns) != 1 {
+		t.Errorf("12 identical Fit calls returned %d distinct KL bit patterns", len(patterns))
+	}
+}
