@@ -9,7 +9,7 @@
 // # Checks
 //
 // zerocopykey — in the hot packages (internal/rule, internal/cube,
-// internal/bitset, internal/candgen, internal/miner, internal/maxent) a
+// internal/candgen, internal/miner, internal/maxent) a
 // string(buf) conversion of a []byte must appear directly as a map index or
 // a comparison operand. Those two forms the compiler optimizes into
 // allocation-free accesses; binding the conversion to a variable, passing it

@@ -12,7 +12,6 @@ import (
 var hotKeyPackages = []string{
 	"internal/rule",
 	"internal/cube",
-	"internal/bitset",
 	"internal/candgen",
 	"internal/miner",
 	"internal/maxent",

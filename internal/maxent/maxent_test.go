@@ -1,6 +1,7 @@
 package maxent
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -411,42 +412,41 @@ func TestRCTMatchesNaive(t *testing.T) {
 }
 
 // TestRCTTable41Golden pins Table 4.1 of the thesis: the RCT contents right
-// after the third rule is appended (before rescaling), with the thesis' BA
-// labels 1000/1100/1010/1110 padded to this test's 4-rule capacity.
+// after the third rule is appended (before rescaling), in the thesis' row
+// order 1000/1100/1010/1110 (written here without the padding bit) on every
+// run.
 func TestRCTTable41Golden(t *testing.T) {
-	ds := datagen.Flights()
-	_, work := NewTransform(ds.Measure)
-	s := NewRCTScaler(ds, work, 4)
-	s.Epsilon = 1e-10
-	addFlightRules(t, s, ds, rule.AllWildcards(3), mustRule(t, ds, "*", "*", "London"))
+	want := []RCTRow{
+		{BA: "100", Count: 9, SumM: 68, SumMhat: 9 * 8.4},
+		{BA: "110", Count: 3, SumM: 41, SumMhat: 3 * 15.25},
+		{BA: "101", Count: 1, SumM: 16, SumMhat: 8.4},
+		{BA: "111", Count: 1, SumM: 20, SumMhat: 15.25},
+	}
+	for run := 0; run < 5; run++ {
+		ds := datagen.Flights()
+		_, work := NewTransform(ds.Measure)
+		s := NewRCTScaler(ds, work, 4)
+		s.Epsilon = 1e-10
+		addFlightRules(t, s, ds, rule.AllWildcards(3), mustRule(t, ds, "*", "*", "London"))
 
-	var snapshot []RCTRow
-	s.OnRCTBuilt = func(rows []RCTRow) { snapshot = rows }
-	addFlightRules(t, s, ds, mustRule(t, ds, "Fri", "*", "*"))
+		var snapshot []RCTRow
+		s.OnRCTBuilt = func(rows []RCTRow) { snapshot = rows }
+		addFlightRules(t, s, ds, mustRule(t, ds, "Fri", "*", "*"))
 
-	want := map[string]RCTRow{
-		"100": {Count: 9, SumM: 68, SumMhat: 9 * 8.4},
-		"110": {Count: 3, SumM: 41, SumMhat: 3 * 15.25},
-		"101": {Count: 1, SumM: 16, SumMhat: 8.4},
-		"111": {Count: 1, SumM: 20, SumMhat: 15.25},
-	}
-	if len(snapshot) != 4 {
-		t.Fatalf("RCT has %d rows, want 4: %+v", len(snapshot), snapshot)
-	}
-	for _, row := range snapshot {
-		w, ok := want[row.BA]
-		if !ok {
-			t.Errorf("unexpected RCT row BA=%s", row.BA)
-			continue
+		if len(snapshot) != len(want) {
+			t.Fatalf("RCT has %d rows, want %d: %+v", len(snapshot), len(want), snapshot)
 		}
-		if row.Count != w.Count {
-			t.Errorf("BA=%s count=%d want %d", row.BA, row.Count, w.Count)
+		for i, row := range snapshot {
+			w := want[i]
+			if row.BA != w.BA || row.Count != w.Count {
+				t.Errorf("run %d row %d: BA=%s count=%d, want BA=%s count=%d", run, i, row.BA, row.Count, w.BA, w.Count)
+			}
+			approx(t, "BA="+row.BA+" SumM", row.SumM, w.SumM, 1e-9)
+			approx(t, "BA="+row.BA+" SumMhat", row.SumMhat, w.SumMhat, 1e-6)
 		}
-		approx(t, "BA="+row.BA+" SumM", row.SumM, w.SumM, 1e-9)
-		approx(t, "BA="+row.BA+" SumMhat", row.SumMhat, w.SumMhat, 1e-6)
-	}
-	if s.NumRCTRows() != 4 {
-		t.Errorf("NumRCTRows = %d", s.NumRCTRows())
+		if s.NumRCTRows() != 4 {
+			t.Errorf("NumRCTRows = %d", s.NumRCTRows())
+		}
 	}
 }
 
@@ -580,5 +580,129 @@ func TestQuickRCTMatchesNaiveOnRandomData(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// cyclicDataset has rows cycling through the same 60 value combinations of
+// three dimensions, so its coverage signatures do not depend on its size.
+func cyclicDataset(t testing.TB, rows int) *dataset.Dataset {
+	t.Helper()
+	b := dataset.NewBuilder(dataset.Schema{DimNames: []string{"a", "b", "c"}, MeasureName: "m"})
+	for i := 0; i < rows; i++ {
+		vals := []string{fmt.Sprint(i % 4), fmt.Sprint(i / 4 % 5), fmt.Sprint(i / 20 % 3)}
+		if err := b.Add(vals, float64(1+i%60)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b.MustBuild()
+}
+
+// TestRCTTakesAnyRuleCount: capacity follows the caller's rule count, with
+// no cap below it — 600 disjoint rules fit, and each holds exactly.
+func TestRCTTakesAnyRuleCount(t *testing.T) {
+	const n = 600
+	b := dataset.NewBuilder(dataset.Schema{DimNames: []string{"v"}, MeasureName: "m"})
+	for i := 0; i < 2*n; i++ {
+		if err := b.Add([]string{fmt.Sprint(i % n)}, float64(1+i%7)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ds := b.MustBuild()
+	_, work := NewTransform(ds.Measure)
+	s := NewRCTScaler(ds, work, n)
+	for v := 0; v < n; v++ {
+		if _, err := s.AddRule(rule.Rule{int32(v)}); err != nil {
+			t.Fatalf("rule %d: %v", v, err)
+		}
+	}
+	for i, v := range s.Mhat() {
+		j := (i + n) % (2 * n)
+		approx(t, "disjoint-rule estimate", v, (work[i]+work[j])/2, 1e-9)
+	}
+}
+
+// TestWarmAddRuleAllocatesPerSignature: a warm AddRule allocates per
+// distinct coverage signature, never per row — the same count at 1k and 10k
+// rows with the same signatures.
+func TestWarmAddRuleAllocatesPerSignature(t *testing.T) {
+	allocs := func(rows int) float64 {
+		ds := cyclicDataset(t, rows)
+		_, work := NewTransform(ds.Measure)
+		s := NewRCTScaler(ds, work, 8)
+		for _, r := range []rule.Rule{rule.AllWildcards(3), {0, rule.Wildcard, rule.Wildcard}} {
+			if _, err := s.AddRule(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r := rule.Rule{rule.Wildcard, 1, rule.Wildcard}
+		return testing.AllocsPerRun(3, func() {
+			if _, err := s.AddRule(r); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(1000), allocs(10000)
+	if small != large {
+		t.Errorf("warm AddRule: %v allocs at 1k rows, %v at 10k", small, large)
+	}
+	if small > 100 {
+		t.Errorf("warm AddRule: %v allocs for 60 signatures", small)
+	}
+}
+
+// TestProductsWalkSetBitsAcrossWords: each row's estimate is the product of
+// the λ of exactly its set bits, including bits past the first word.
+func TestProductsWalkSetBitsAcrossWords(t *testing.T) {
+	lambda := make([]float64, 130)
+	for i := range lambda {
+		lambda[i] = 1 + float64(i)/64
+	}
+	sigs := [][]uint64{{0, 0, 0}, {1, 0, 0}, {1<<63 | 5, 1, 0}, {0, 1 << 63, 3}}
+	var f Fragment
+	f.Reset()
+	for _, sig := range sigs {
+		f.Add(sig, 1, 1)
+	}
+	est := make([]float64, len(sigs))
+	f.WriteBack(BuildRCT(3, &f).Products(lambda), est)
+	for i, sig := range sigs {
+		want := 1.0
+		for b := 0; b < 3*64; b++ {
+			if sig[b/64]>>(b%64)&1 != 0 {
+				want *= lambda[b]
+			}
+		}
+		if est[i] != want {
+			t.Errorf("signature %x: product %v, want %v", sig, est[i], want)
+		}
+	}
+}
+
+// TestRCTRowOrderIsSignatureByteOrder: rows sort by the bytes of their
+// signatures written word by word, least significant byte first (so 0x0100
+// precedes 0x01), whatever order the tuples arrive in, and a row's sums add
+// up across fragments.
+func TestRCTRowOrderIsSignatureByteOrder(t *testing.T) {
+	sigs := [][]uint64{{0x0100, 2}, {0x01, 0}, {0x0100, 1}, {0x02, 0}, {0x01, 0}}
+	frags := []*Fragment{{}, {}}
+	for i, sig := range sigs {
+		f := frags[i%2]
+		if f.index == nil {
+			f.Reset()
+		}
+		f.Add(sig, float64(i), float64(i))
+	}
+	rct := BuildRCT(2, frags...)
+	want := [][]uint64{{0x0100, 1}, {0x0100, 2}, {0x01, 0}, {0x02, 0}}
+	if rct.Len() != len(want) {
+		t.Fatalf("%d rows, want %d", rct.Len(), len(want))
+	}
+	for i, w := range want {
+		if got := rct.ba[2*i : 2*i+2]; got[0] != w[0] || got[1] != w[1] {
+			t.Errorf("row %d = %x, want %x", i, got, w)
+		}
+	}
+	if r := rct.rows[2]; r.count != 2 || r.sumM != 1+4 {
+		t.Errorf("merged row {1,0} = %+v, want count 2, sumM 5", r)
 	}
 }

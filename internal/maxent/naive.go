@@ -2,7 +2,6 @@ package maxent
 
 import (
 	"fmt"
-	"math"
 
 	"sirum/internal/dataset"
 	"sirum/internal/metrics"
@@ -41,12 +40,9 @@ type Scaler interface {
 	Lambdas() []float64
 }
 
-// NaiveScaler implements Algorithm 1 verbatim: each scaling loop recomputes
-// every rule's estimated average with a full pass over D, re-evaluating
-// t ⊨ r attribute by attribute, and a second pass updates the estimates of
-// the scaled rule's support set. This is the baseline the Rule Coverage
-// Table optimization (Section 4.1) is measured against.
-type NaiveScaler struct {
+// scalerBase is the state both row-scanning front ends share: the rule
+// list with its multipliers and targets, and the live estimate column.
+type scalerBase struct {
 	ds   *dataset.Dataset
 	work []float64
 	mhat []float64
@@ -54,52 +50,70 @@ type NaiveScaler struct {
 	rules   []rule.Rule
 	lambda  []float64
 	targets []float64 // m(r): average transformed measure over the support set
-	counts  []int     // |S_D(r)|
-
-	// ResetOnAdd replays the iterative-scaling style of Sarawagi's
-	// user-cognizant analysis tool ([29], Section 5.6.2): every AddRule
-	// resets all multipliers to 1 and rescales from scratch instead of
-	// carrying the previous λ values forward.
-	ResetOnAdd bool
+	counts  []float64 // |S_D(r)|
 
 	Epsilon  float64
 	MaxLoops int
 	Reg      *metrics.Registry
 }
 
-// NewNaiveScaler builds a scaler over ds with the given transformed measure
-// column (see NewTransform). The estimates start at 1, the empty-product
-// default of t[m̂] = Π λ.
-func NewNaiveScaler(ds *dataset.Dataset, work []float64) *NaiveScaler {
+// newScalerBase starts the estimates at 1, the empty-product default of
+// t[m̂] = Π λ.
+func newScalerBase(ds *dataset.Dataset, work []float64) scalerBase {
 	mhat := make([]float64, len(work))
 	for i := range mhat {
 		mhat[i] = 1
 	}
-	return &NaiveScaler{
-		ds:       ds,
-		work:     work,
-		mhat:     mhat,
-		Epsilon:  DefaultEpsilon,
-		MaxLoops: DefaultMaxLoops,
-	}
+	return scalerBase{ds: ds, work: work, mhat: mhat, Epsilon: DefaultEpsilon, MaxLoops: DefaultMaxLoops}
 }
 
 // Mhat returns the live estimate column.
-func (s *NaiveScaler) Mhat() []float64 { return s.mhat }
+func (s *scalerBase) Mhat() []float64 { return s.mhat }
 
 // Rules returns the rules added so far.
-func (s *NaiveScaler) Rules() []rule.Rule { return s.rules }
+func (s *scalerBase) Rules() []rule.Rule { return s.rules }
 
 // Lambdas returns the rule multipliers.
-func (s *NaiveScaler) Lambdas() []float64 { return s.lambda }
+func (s *scalerBase) Lambdas() []float64 { return s.lambda }
 
 // Targets returns m(r) for each rule on the transformed scale.
-func (s *NaiveScaler) Targets() []float64 { return s.targets }
+func (s *scalerBase) Targets() []float64 { return s.targets }
 
-// Counts returns |S_D(r)| for each rule.
-func (s *NaiveScaler) Counts() []int { return s.counts }
+// appendRule registers r with the target and support count of its scan.
+func (s *scalerBase) appendRule(r rule.Rule, sum float64, count int) error {
+	if count == 0 {
+		return fmt.Errorf("maxent: rule %v has empty support", r)
+	}
+	s.rules = append(s.rules, r.Clone())
+	s.lambda = append(s.lambda, 1)
+	s.targets = append(s.targets, sum/float64(count))
+	s.counts = append(s.counts, float64(count))
+	return nil
+}
 
-func (s *NaiveScaler) addRuleEntry(r rule.Rule) error {
+// NaiveScaler implements Algorithm 1 verbatim: each scaling loop recomputes
+// every rule's estimated average with a full pass over D, re-evaluating
+// t ⊨ r attribute by attribute, and a second pass updates the estimates of
+// the scaled rule's support set. This is the baseline the Rule Coverage
+// Table optimization (Section 4.1) is measured against.
+type NaiveScaler struct {
+	scalerBase
+
+	// ResetOnAdd replays the iterative-scaling style of Sarawagi's
+	// user-cognizant analysis tool ([29], Section 5.6.2): every AddRule
+	// resets all multipliers to 1 and rescales from scratch instead of
+	// carrying the previous λ values forward.
+	ResetOnAdd bool
+}
+
+// NewNaiveScaler builds a scaler over ds with the given transformed measure
+// column (see NewTransform).
+func NewNaiveScaler(ds *dataset.Dataset, work []float64) *NaiveScaler {
+	return &NaiveScaler{scalerBase: newScalerBase(ds, work)}
+}
+
+// AddRule implements Scaler.
+func (s *NaiveScaler) AddRule(r rule.Rule) (ScaleStats, error) {
 	var sum float64
 	count := 0
 	for i := 0; i < s.ds.NumRows(); i++ {
@@ -108,19 +122,7 @@ func (s *NaiveScaler) addRuleEntry(r rule.Rule) error {
 			count++
 		}
 	}
-	if count == 0 {
-		return fmt.Errorf("maxent: rule %v has empty support", r)
-	}
-	s.rules = append(s.rules, r.Clone())
-	s.lambda = append(s.lambda, 1)
-	s.targets = append(s.targets, sum/float64(count))
-	s.counts = append(s.counts, count)
-	return nil
-}
-
-// AddRule implements Scaler.
-func (s *NaiveScaler) AddRule(r rule.Rule) (ScaleStats, error) {
-	if err := s.addRuleEntry(r); err != nil {
+	if err := s.appendRule(r, sum, count); err != nil {
 		return ScaleStats{}, err
 	}
 	if s.ResetOnAdd {
@@ -131,80 +133,38 @@ func (s *NaiveScaler) AddRule(r rule.Rule) (ScaleStats, error) {
 			s.mhat[i] = 1
 		}
 	}
-	return s.scale()
-}
-
-// scale runs Algorithm 1 to convergence.
-func (s *NaiveScaler) scale() (ScaleStats, error) {
+	// Lines 3–6 recompute every rule's Σm̂ with a full pass over D, testing
+	// coverage tuple by tuple; lines 10–12 multiply the scaled rule's
+	// estimates, which is equivalent to recomputing Π λ.
 	var st ScaleStats
-	diffs := make([]float64, len(s.rules))
-	mhatAvg := make([]float64, len(s.rules))
-	for st.Loops = 0; st.Loops < s.MaxLoops; st.Loops++ {
-		// Lines 3–6: recompute every rule's estimated average with a full
-		// pass over D, re-evaluating coverage tuple by tuple.
-		for ri := range s.rules {
-			var sum float64
-			for i := 0; i < s.ds.NumRows(); i++ {
+	n := s.ds.NumRows()
+	loops, err := Scale(s.targets, s.counts, s.lambda, s.Epsilon, s.MaxLoops,
+		func(dst []float64) error {
+			for ri, rr := range s.rules {
+				var sum float64
+				for i := 0; i < n; i++ {
+					if rr.MatchesRow(s.ds, i) {
+						sum += s.mhat[i]
+					}
+				}
+				dst[ri] = sum
+			}
+			st.DataScans++
+			return nil
+		},
+		func(ri int, ratio float64) error {
+			for i := 0; i < n; i++ {
 				if s.rules[ri].MatchesRow(s.ds, i) {
-					sum += s.mhat[i]
+					s.mhat[i] *= ratio
 				}
 			}
-			mhatAvg[ri] = sum / float64(s.counts[ri])
-			diffs[ri] = relDiff(s.targets[ri], mhatAvg[ri])
-		}
-		st.DataScans++
-		// Line 7: the rule with the greatest constraint violation.
-		next := 0
-		for ri := 1; ri < len(diffs); ri++ {
-			if diffs[ri] > diffs[next] {
-				next = ri
+			st.DataScans++
+			if s.Reg != nil {
+				s.Reg.Add(metrics.CtrScalingLoops, 1)
+				s.Reg.Add(metrics.CtrScanRows, int64(2*n))
 			}
-		}
-		if diffs[next] <= s.Epsilon {
-			st.Converged = true
-			break
-		}
-		// Line 9: scale the multiplier.
-		ratio := scaleRatio(s.targets[next], mhatAvg[next])
-		s.lambda[next] *= ratio
-		// Lines 10–12: update the estimates of the covered tuples. The
-		// incremental multiply is equivalent to recomputing Π λ.
-		for i := 0; i < s.ds.NumRows(); i++ {
-			if s.rules[next].MatchesRow(s.ds, i) {
-				s.mhat[i] *= ratio
-			}
-		}
-		st.DataScans++
-		if s.Reg != nil {
-			s.Reg.Add(metrics.CtrScalingLoops, 1)
-			s.Reg.Add(metrics.CtrScanRows, int64(2*s.ds.NumRows()))
-		}
-	}
-	if !st.Converged {
-		return st, fmt.Errorf("maxent: iterative scaling did not converge in %d loops", s.MaxLoops)
-	}
-	return st, nil
-}
-
-// relDiff is |m - m̂| / |m| with a guard for vanishing targets, where the
-// relative form is meaningless and the absolute difference is used instead.
-func relDiff(target, est float64) float64 {
-	d := math.Abs(target - est)
-	if math.Abs(target) < 1e-12 {
-		return d
-	}
-	return d / math.Abs(target)
-}
-
-// scaleRatio is m(r)/m̂(r) with a floor protecting against a zero target
-// (which would zero out every covered estimate and break other constraints).
-func scaleRatio(target, est float64) float64 {
-	const floor = 1e-12
-	if target < floor {
-		target = floor
-	}
-	if est < floor {
-		est = floor
-	}
-	return target / est
+			return nil
+		})
+	st.Loops, st.Converged = loops, err == nil
+	return st, err
 }

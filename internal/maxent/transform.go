@@ -1,8 +1,3 @@
-// Package maxent implements the maximum-entropy machinery of SIRUM
-// (Chapter 2 of the thesis): the measure-attribute transformations that make
-// the optimization well-posed, iterative scaling (Algorithm 1), the Rule
-// Coverage Table accelerated scaler (Algorithm 3), Kullback-Leibler
-// divergence, and the information-gain estimate of Equation 2.2.
 package maxent
 
 import (

@@ -1,7 +1,9 @@
 package sirum
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -208,6 +210,41 @@ func TestFit(t *testing.T) {
 	}
 	if _, _, err := ds.Fit([][]Condition{{{Attr: "Day", Value: "Never"}}}); err == nil {
 		t.Error("unknown value accepted")
+	}
+}
+
+// TestFitAcceptsWhatExploreReturns: Explore's answer — its prior plus its
+// recommendations — is a rule list Fit must take, and Fit must estimate what
+// Explore's miner estimated. Three group-bys of 220/220/150 values make a
+// 590-rule prior, so the coverage arrays span ten words.
+func TestFitAcceptsWhatExploreReturns(t *testing.T) {
+	var csv strings.Builder
+	csv.WriteString("a,b,c,m\n")
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 3000; i++ {
+		fmt.Fprintf(&csv, "a%d,b%d,c%d,%d\n", i%220, (i*7)%220, i%220%150, 1+rng.Intn(100))
+	}
+	ds, err := ReadCSV(strings.NewReader(csv.String()), "m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex, err := ds.Explore(ExploreOptions{K: 2, GroupBys: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ex.Prior) != 590 || len(ex.Result.Rules) != 2 {
+		t.Fatalf("explore returned %d prior + %d rules, want 590 + 2", len(ex.Prior), len(ex.Result.Rules))
+	}
+	var rules [][]Condition
+	for _, r := range append(ex.Prior, ex.Result.Rules...) {
+		rules = append(rules, r.Conditions)
+	}
+	_, kl, err := ds.Fit(rules)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(kl-ex.Result.KL) > 2e-3 {
+		t.Errorf("Fit KL %v, Explore KL %v", kl, ex.Result.KL)
 	}
 }
 
