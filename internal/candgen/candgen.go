@@ -231,9 +231,9 @@ func LCAParts(c engine.Backend, data *engine.CachedData, s *Sample, indexed bool
 		if ix == nil {
 			ix = BuildIndex(s)
 		}
-		c.Broadcast(ix.Bytes() + s.Bytes())
+		c.Reg().Add(metrics.CtrBroadcastBytes, ix.Bytes()+s.Bytes())
 	} else {
-		c.Broadcast(s.Bytes())
+		c.Reg().Add(metrics.CtrBroadcastBytes, s.Bytes())
 	}
 	out := make([]map[string]cube.Agg, data.NumBlocks())
 	comparisons := make([]int64, data.NumBlocks())
@@ -323,7 +323,7 @@ func lcaIndexed(b *engine.TupleBlock, s *Sample, ix *InvertedIndex, local *cube.
 // sample tuple); they indicate corruption and surface as an error rather
 // than a worker panic.
 func AdjustForSample(c engine.Backend, candidates *engine.PColl[map[string]cube.Agg], s *Sample, codec StringCodec) (*engine.PColl[map[string]cube.Agg], error) {
-	c.Broadcast(s.Bytes())
+	c.Reg().Add(metrics.CtrBroadcastBytes, s.Bytes())
 	out := make([]map[string]cube.Agg, candidates.NumParts())
 	errs := make([]error, candidates.NumParts())
 	c.RunStage("candgen/adjust", candidates.NumParts(), func(i int) {

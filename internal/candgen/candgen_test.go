@@ -19,6 +19,20 @@ func newTestCluster() *engine.SimBackend {
 	return engine.NewSimBackend(engine.Config{Executors: 2, CoresPerExecutor: 2, Partitions: 4})
 }
 
+// gather merges a keyed collection's partitions into one map on the driver.
+func gather(in *engine.PColl[map[string]cube.Agg]) map[string]cube.Agg {
+	total := make(map[string]cube.Agg)
+	for _, part := range in.Parts() {
+		for k, v := range part {
+			if old, ok := total[k]; ok {
+				v = cube.Merge(old, v)
+			}
+			total[k] = v
+		}
+	}
+	return total
+}
+
 // flightData caches the flight dataset in an engine and returns the handles.
 func flightData(t *testing.T, c engine.Backend) (*dataset.Dataset, *engine.CachedData, []float64) {
 	t.Helper()
@@ -116,8 +130,8 @@ func TestIndexedEqualsNaive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := engine.CollectMap(c1, naive, "a", cube.Merge, func(k string, v cube.Agg) int { return len(k) + 24 })
-	b := engine.CollectMap(c2, indexed, "b", cube.Merge, func(k string, v cube.Agg) int { return len(k) + 24 })
+	a := gather(naive)
+	b := gather(indexed)
 	if len(a) != len(b) {
 		t.Fatalf("LCA sets differ in size: %d vs %d", len(a), len(b))
 	}
@@ -171,7 +185,7 @@ func TestSamplePipelineMatchesDirectSums(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	all := engine.CollectMap(c, adjusted, "gather", cube.Merge, func(k string, v cube.Agg) int { return len(k) + 24 })
+	all := gather(adjusted)
 	if len(all) == 0 {
 		t.Fatal("no candidates")
 	}
@@ -227,7 +241,7 @@ func TestQuickSamplePipeline(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		all := engine.CollectMap(c, adjusted, "g", cube.Merge, func(k string, v cube.Agg) int { return 36 })
+		all := gather(adjusted)
 		for key, agg := range all {
 			r, _ := rule.FromKey(key, 3)
 			var wantM float64
@@ -257,7 +271,7 @@ func TestExhaustiveParts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	all := engine.CollectMap(c, parts, "g", cube.Merge, func(k string, v cube.Agg) int { return 36 })
+	all := gather(parts)
 	// 14 tuples, two pairs of duplicates? Check: distinct dim combinations.
 	distinct := map[string]bool{}
 	var totalM float64

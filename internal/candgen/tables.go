@@ -51,9 +51,9 @@ func (c PackedCodec) LCATables(b engine.Backend, data *engine.CachedData, s *Sam
 		if ix == nil {
 			ix = BuildIndex(s)
 		}
-		b.Broadcast(ix.Bytes() + s.Bytes())
+		b.Reg().Add(metrics.CtrBroadcastBytes, ix.Bytes()+s.Bytes())
 	} else {
-		b.Broadcast(s.Bytes())
+		b.Reg().Add(metrics.CtrBroadcastBytes, s.Bytes())
 	}
 	p := c.P
 	out := make([]*cube.PackedTable, data.NumBlocks())
@@ -144,7 +144,7 @@ func matchCount(s *Sample, codec PackedCodec, key uint64, buf rule.Rule) (int, r
 // candidate's aggregates are divided by its sample match count through the
 // tables' mutable walk — no rebuilt collection, unlike the string pipeline.
 func AdjustTablesForSample(c engine.Backend, candidates *engine.PColl[*cube.PackedTable], s *Sample, codec PackedCodec) error {
-	c.Broadcast(s.Bytes())
+	c.Reg().Add(metrics.CtrBroadcastBytes, s.Bytes())
 	errs := make([]error, candidates.NumParts())
 	c.RunStage("candgen/adjust", candidates.NumParts(), func(i int) {
 		buf := make(rule.Rule, codec.NumDims())
@@ -196,7 +196,7 @@ func TopByGainTables(c engine.Backend, candidates *engine.PColl[*cube.PackedTabl
 // the keys and the sample alone, so a frozen lattice computes it once where
 // AdjustTablesForSample recomputes it every round.
 func MatchCounts(c engine.Backend, keys []uint64, s *Sample, codec PackedCodec) ([]int32, error) {
-	c.Broadcast(s.Bytes())
+	c.Reg().Add(metrics.CtrBroadcastBytes, s.Bytes())
 	out := make([]int32, len(keys))
 	parts := c.Config().Partitions
 	errs := make([]error, parts)

@@ -221,7 +221,7 @@ func stringRecordBytes(k string, _ Agg) int { return len(k) + 24 }
 // candidate rule (each input rule and all its ancestors) uniquely with fully
 // merged aggregates.
 //
-// Every stage is one map-reduce round: a JobBoundary is charged per round,
+// Every stage is one map-reduce round: each records a job (metrics.CtrJobs),
 // and each emitted ancestor counts toward metrics.CtrPairsEmitted, the
 // quantity Figure 5.8 plots. Corrupt keys and over-wide generalizations
 // surface as errors, not worker panics.
@@ -233,7 +233,7 @@ func Compute(c engine.Backend, in *engine.PColl[map[string]Agg], d int, groups [
 	// Round 0: key-partition the input so every rule lives in exactly one
 	// partition (the reduce of "computing LCA(s,D)" in the thesis).
 	cur := engine.ShuffleByKey(c, in, "cube/partition", parts, Merge, stringRecordBytes)
-	c.JobBoundary()
+	c.Reg().Add(metrics.CtrJobs, 1)
 
 	for gi, group := range groups {
 		group := group
@@ -272,7 +272,7 @@ func Compute(c engine.Backend, in *engine.PColl[map[string]Agg], d int, groups [
 			merged[b] = out
 		})
 		cur = engine.NewPColl(merged)
-		c.JobBoundary()
+		c.Reg().Add(metrics.CtrJobs, 1)
 	}
 	return cur, nil
 }

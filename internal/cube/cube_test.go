@@ -16,6 +16,20 @@ func newTestCluster() *engine.SimBackend {
 	return engine.NewSimBackend(engine.Config{Executors: 2, CoresPerExecutor: 2, Partitions: 4})
 }
 
+// gather merges a keyed collection's partitions into one map on the driver.
+func gather(in *engine.PColl[map[string]Agg]) map[string]Agg {
+	total := make(map[string]Agg)
+	for _, part := range in.Parts() {
+		for k, v := range part {
+			if old, ok := total[k]; ok {
+				v = Merge(old, v)
+			}
+			total[k] = v
+		}
+	}
+	return total
+}
+
 func TestSplitGroups(t *testing.T) {
 	cases := []struct {
 		d, g int
@@ -92,7 +106,7 @@ func TestExhaustiveCubeAggregates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	candidates := engine.CollectMap(c, res, "gather", Merge, stringRecordBytes)
+	candidates := gather(res)
 
 	// The thesis' example quotes "73 possible rules"; the union of the 14
 	// tuples' cube lattices has 74 elements (1 at level 0, 20 at level 1,
@@ -138,8 +152,8 @@ func TestMultiStageEqualsSingleStage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a := engine.CollectMap(c1, single, "a", Merge, stringRecordBytes)
-		b := engine.CollectMap(c2, multi, "b", Merge, stringRecordBytes)
+		a := gather(single)
+		b := gather(multi)
 		if len(a) != len(b) {
 			t.Fatalf("g=%d: %d vs %d candidates", g, len(a), len(b))
 		}
@@ -208,7 +222,7 @@ func TestSampleCandidateExample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	candidates := engine.CollectMap(c, res, "gather", Merge, stringRecordBytes)
+	candidates := gather(res)
 	want := map[string]bool{}
 	for _, vals := range [][]string{
 		{"*", "*", "*"}, {"*", "*", "London"}, {"*", "*", "Frankfurt"},
@@ -276,8 +290,8 @@ func TestQuickMultiStageEquivalence(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		a := engine.CollectMap(c1, single, "a", Merge, stringRecordBytes)
-		b := engine.CollectMap(c2, multi, "b", Merge, stringRecordBytes)
+		a := gather(single)
+		b := gather(multi)
 		if len(a) != len(b) {
 			return false
 		}

@@ -368,7 +368,7 @@ func ComputeTables(c engine.Backend, in *engine.PColl[*PackedTable], pk PackedKe
 	// partition (the reduce of "computing LCA(s,D)" in the thesis).
 	cur := borrowTables(c, parts, hint)
 	engine.ShuffleTables[*PackedTable, Agg](c, in, "cube/partition", cur, TableRecordBytes)
-	c.JobBoundary()
+	c.Reg().Add(metrics.CtrJobs, 1)
 
 	gen := borrowTables(c, parts, hint)
 	red := borrowTables(c, parts, hint)
@@ -408,7 +408,7 @@ func ComputeTables(c engine.Backend, in *engine.PColl[*PackedTable], pk PackedKe
 		c.RunStage(stage+"/merge", parts, func(b int) {
 			cur[b].MergeTable(red[b])
 		})
-		c.JobBoundary()
+		c.Reg().Add(metrics.CtrJobs, 1)
 	}
 	return engine.NewPColl(cur), nil
 }

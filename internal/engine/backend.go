@@ -11,19 +11,22 @@ import (
 
 // Backend is the execution substrate the SIRUM dataflow runs on. The
 // algorithm layer (miner, cube, candgen, explore) is written against this
-// interface only; two implementations are provided:
+// interface only. A Backend schedules: it runs stages and holds the
+// registry, cache budget and dataset pool queries share. It does not price
+// anything. Operators record the work they do on Reg(), and only SimBackend
+// turns those counts into time (SimBackend.price; read it via SimTime).
+// Two implementations are provided:
 //
 //   - SimBackend reproduces the thesis' distributed deployment in-process:
-//     bounded real parallelism plus a simulated cluster clock charged by
-//     list-scheduling task durations onto virtual executors and by cost
-//     models for shuffle, broadcast and disk traffic. It is the substrate
-//     for regenerating the paper's figures, which are reported in simulated
-//     time.
+//     bounded real parallelism plus a simulated cluster clock, built by
+//     list-scheduling task durations onto virtual executors and by pricing
+//     the recorded shuffle, broadcast, job and disk counts. It is the
+//     substrate for regenerating the paper's figures, which are reported in
+//     simulated time.
 //
-//   - NativeBackend drops all simulation bookkeeping and runs the same
-//     operators as fast as the host allows: work-stealing goroutine
-//     scheduling, slice-bucket shuffles, and no virtual-clock charges. It is
-//     the substrate for serving real workloads.
+//   - NativeBackend runs the same operators as fast as the host allows, with
+//     work-stealing goroutine scheduling and no clock. It is the substrate
+//     for serving real workloads.
 //
 // Both backends execute identical task code, so a mining job produces the
 // same rule list on either; only the performance accounting differs.
@@ -35,31 +38,15 @@ type Backend interface {
 	Name() string
 	// Config returns the effective (defaulted) configuration.
 	Config() Config
-	// Reg returns the metrics registry charges land in. On a concrete
-	// backend this is the substrate-lifetime registry (scheduling, shuffle,
-	// spill totals across all queries); on a QueryScope it is the private
-	// per-query registry, which is where operator-level counters and phase
-	// timings accumulate — query results snapshot that one.
+	// Reg returns the metrics registry operators record their work on. On a
+	// concrete backend this is the substrate-lifetime registry; on a
+	// QueryScope it is the per-query registry, a child of the backend's, so
+	// every count lands once in each — query results snapshot the scope's.
 	Reg() *metrics.Registry
 	// RunStage executes n tasks (task(0) … task(n-1)) with real parallelism
 	// and records one stage. Task panics are captured and re-raised on the
 	// caller with stage context after all tasks finish.
 	RunStage(name string, n int, task func(i int))
-	// JobBoundary accounts for one job startup (per map-reduce round).
-	JobBoundary()
-	// ChargeShuffle accounts for moving the given volume across workers.
-	ChargeShuffle(bytes, records int64)
-	// Broadcast accounts for replicating bytes to every worker.
-	Broadcast(bytes int64)
-	// Repartition accounts for a full redistribution of a dataset.
-	Repartition(bytes, records int64)
-	// ChargeDiskRead accounts for loading a dataset from storage.
-	ChargeDiskRead(bytes int64)
-	// ChargeGather accounts for collecting bytes to the driver.
-	ChargeGather(bytes int64)
-	// SimTime returns the simulated cluster clock (always 0 on backends
-	// that do not model one).
-	SimTime() time.Duration
 	// TotalMemory returns the backend-wide cache budget for cached blocks.
 	TotalMemory() int64
 	// Pool returns the backend's prepared-dataset pool: the cache that lets
@@ -70,18 +57,32 @@ type Backend interface {
 	// unusable afterwards.
 	Close() error
 
+	// runStage is RunStage counting the stage on reg, so a QueryScope can
+	// schedule on its backend while recording on its own registry.
+	runStage(reg *metrics.Registry, name string, n int, task func(i int))
 	// spillPath returns a file path for spilling the named block. Names must
 	// be unique per logical block across all CachedData sharing the backend.
 	spillPath(name string) (string, error)
-	// chargeSpill / chargeSpillRead account for cache spill traffic.
-	chargeSpill(bytes int64)
-	chargeSpillRead(bytes int64)
 	// accountsBytes reports whether operators should compute per-record
-	// byte sizes for cost accounting (false on the native path, where the
-	// sizing closures would be pure overhead).
+	// byte sizes (false on the native path, where the sizing closures would
+	// be pure overhead).
 	accountsBytes() bool
 	// arena returns the backend's fork-column arena (see columnArena).
 	arena() *columnArena
+}
+
+// SimTime returns b's simulated cluster clock, reaching through a
+// QueryScope to its backend; it is 0 on backends that keep no clock. Under
+// concurrent queries the clock interleaves all queries' work, so per-query
+// simulated durations are only meaningful for queries run serially.
+func SimTime(b Backend) time.Duration {
+	if s, ok := b.(*QueryScope); ok {
+		b = s.base
+	}
+	if sim, ok := b.(*SimBackend); ok {
+		return sim.SimTime()
+	}
+	return 0
 }
 
 // Compile-time interface checks.

@@ -39,8 +39,9 @@ func (b *TupleBlock) Bytes() int64 {
 // budget. Blocks beyond the budget are spilled to disk (gob) and faulted
 // back in on access, evicting the least-recently-used resident block —
 // write-back, since estimate columns mutate between scans. It reproduces
-// the fits-in-memory vs. re-reads-from-HDFS behaviour of Section 4.5; the
-// residency series feeds Figures 4.3 and 4.4.
+// the fits-in-memory vs. re-reads-from-HDFS behaviour of Section 4.5: spills
+// and reloads are recorded on the backend's registry (metrics.CtrSpillBytes,
+// metrics.CtrSpillReads), which Figures 4.3 and 4.4 report.
 type CachedData struct {
 	b      Backend
 	budget int64
@@ -52,17 +53,16 @@ type CachedData struct {
 	// memory-pressure ones.
 	allResident bool
 
-	mu        sync.Mutex
-	blocks    []*TupleBlock // nil while spilled
-	files     []string
-	sizes     []int64
-	dirty     []bool
-	pins      []int // pinned blocks are never evicted (scan in progress)
-	lastUsed  []int64
-	useTick   int64
-	resident  int64
-	dropped   bool
-	Residency *metrics.Series
+	mu       sync.Mutex
+	blocks   []*TupleBlock // nil while spilled
+	files    []string
+	sizes    []int64
+	dirty    []bool
+	pins     []int // pinned blocks are never evicted (scan in progress)
+	lastUsed []int64
+	useTick  int64
+	resident int64
+	dropped  bool
 }
 
 // cachedDataSeq hands out the uids that keep spill file names of distinct
@@ -75,16 +75,15 @@ var cachedDataSeq atomic.Int64
 // blocks trigger evictions.
 func CacheTuples(b Backend, blocks []*TupleBlock) (*CachedData, error) {
 	cd := &CachedData{
-		b:         b,
-		budget:    b.TotalMemory(),
-		uid:       cachedDataSeq.Add(1),
-		blocks:    make([]*TupleBlock, len(blocks)),
-		files:     make([]string, len(blocks)),
-		sizes:     make([]int64, len(blocks)),
-		dirty:     make([]bool, len(blocks)),
-		pins:      make([]int, len(blocks)),
-		lastUsed:  make([]int64, len(blocks)),
-		Residency: metrics.NewSeries("rdd_resident_bytes"),
+		b:        b,
+		budget:   b.TotalMemory(),
+		uid:      cachedDataSeq.Add(1),
+		blocks:   make([]*TupleBlock, len(blocks)),
+		files:    make([]string, len(blocks)),
+		sizes:    make([]int64, len(blocks)),
+		dirty:    make([]bool, len(blocks)),
+		pins:     make([]int, len(blocks)),
+		lastUsed: make([]int64, len(blocks)),
 	}
 	var total int64
 	for i, b := range blocks {
@@ -95,7 +94,6 @@ func CacheTuples(b Backend, blocks []*TupleBlock) (*CachedData, error) {
 		cd.allResident = true
 		copy(cd.blocks, blocks)
 		cd.resident = total
-		cd.Residency.Record(b.SimTime(), float64(total))
 		return cd, nil
 	}
 	for i, b := range blocks {
@@ -189,7 +187,6 @@ func (cd *CachedData) admitLocked(i int, b *TupleBlock, initial bool) error {
 	if initial {
 		cd.dirty[i] = true // never persisted yet
 	}
-	cd.Residency.Record(cd.b.SimTime(), float64(cd.resident))
 	return nil
 }
 
@@ -203,11 +200,10 @@ func (cd *CachedData) evictLocked(j int) error {
 	}
 	cd.blocks[j] = nil
 	cd.resident -= cd.sizes[j]
-	cd.Residency.Record(cd.b.SimTime(), float64(cd.resident))
 	return nil
 }
 
-// store spills block j to disk: real gob encode plus simulated disk time.
+// store spills block j to disk (a real gob encode) and records the write.
 func (cd *CachedData) store(j int, b *TupleBlock) error {
 	path := cd.files[j]
 	if path == "" {
@@ -229,11 +225,11 @@ func (cd *CachedData) store(j int, b *TupleBlock) error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	cd.b.chargeSpill(cd.sizes[j])
+	cd.b.Reg().Add(metrics.CtrSpillBytes, cd.sizes[j])
 	return nil
 }
 
-// load faults block j back in from disk.
+// load faults block j back in from disk and records the read.
 func (cd *CachedData) load(j int) (*TupleBlock, error) {
 	if cd.files[j] == "" {
 		return nil, fmt.Errorf("engine: block %d neither resident nor spilled", j)
@@ -247,7 +243,7 @@ func (cd *CachedData) load(j int) (*TupleBlock, error) {
 	if err := gob.NewDecoder(f).Decode(&b); err != nil {
 		return nil, fmt.Errorf("engine: decoding block %d: %w", j, err)
 	}
-	cd.b.chargeSpillRead(cd.sizes[j])
+	cd.b.Reg().Add(metrics.CtrSpillReads, cd.sizes[j])
 	return &b, nil
 }
 
@@ -342,15 +338,6 @@ func (cd *CachedData) Fork(b Backend) (*CachedData, error) {
 	return CacheTuples(b, blocks)
 }
 
-// TotalBytes returns the estimated footprint of all blocks, resident or not.
-func (cd *CachedData) TotalBytes() int64 {
-	var total int64
-	for _, s := range cd.sizes {
-		total += s
-	}
-	return total
-}
-
 // Drop releases the spill files (if any) and retires the cache. Spill-backed
 // reads on a dropped cache fail with an error; when every block was
 // resident the blocks remain readable (nothing to reclaim eagerly — forks
@@ -376,15 +363,6 @@ func (cd *CachedData) Drop() {
 		}
 		cd.resident = 0
 	}
-}
-
-// SampleResidency appends a residency point stamped at the current simulated
-// time (used by experiments to densify the series between transitions).
-func (cd *CachedData) SampleResidency() {
-	cd.mu.Lock()
-	r := cd.resident
-	cd.mu.Unlock()
-	cd.Residency.Record(cd.b.SimTime(), float64(r))
 }
 
 // BlocksFromColumns splits aligned columnar data into blocks of the given

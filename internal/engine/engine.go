@@ -1,9 +1,17 @@
 // Package engine is the execution substrate SIRUM runs on: partitioned
-// collections with map/shuffle/broadcast operators and cached data with
-// spill-to-disk, pluggable over two backends (see Backend). SimBackend is an
-// in-process reproduction of the Spark-style execution model the thesis
-// implements against, with a simulated cluster clock; NativeBackend runs the
-// same operators at host speed with no simulation bookkeeping.
+// collections with map/shuffle operators and cached data with spill-to-disk,
+// over two backends. The package splits execution into three roles:
+//
+//   - A Backend schedules. RunStage runs a stage's tasks and counts them;
+//     nothing else on the interface concerns cost.
+//   - Operators record. Every operator, in this package and in cube,
+//     candgen and miner, adds what it did to the backend's registry (Reg):
+//     shuffled records and bytes, broadcast bytes, job boundaries, bytes read
+//     from storage, cache spills and reloads (see metrics.Ctr*).
+//   - SimBackend prices. Its simulated cluster clock is the stage makespans
+//     it measured plus SimBackend.price over those recorded counts; it is the
+//     only code that knows the cost model. NativeBackend records the same
+//     counts and keeps no clock.
 //
 // # Simulated cluster time
 //
@@ -11,12 +19,12 @@
 // whatever cores the host has. Under SimBackend, every task's real CPU
 // duration is measured, and tasks are then placed onto E virtual executors ×
 // C virtual cores by list scheduling in task order; a stage's simulated
-// duration is the makespan of that schedule plus modelled coordination costs
-// (stage/job startup, shuffle transfer at NetBandwidth, disk traffic at
-// DiskBandwidth). Wall-clock time is tracked too. All scalability figures
-// (5.1, 5.2, 5.16, 5.17) are reported in simulated time; single-machine
-// algorithmic comparisons (RCT vs naive, fast pruning, …) hold in both
-// clocks because they do the same real work.
+// duration is the makespan of that schedule plus StageOverhead. To that clock
+// price adds job startup (JobOverhead), shuffle and broadcast transfer at
+// NetBandwidth, and disk traffic at DiskBandwidth. Wall-clock time is tracked
+// too. All scalability figures (5.1, 5.2, 5.16, 5.17) are reported in
+// simulated time; single-machine algorithmic comparisons (RCT vs naive, fast
+// pruning, …) hold in both clocks because they do the same real work.
 package engine
 
 import (
@@ -40,26 +48,11 @@ type Config struct {
 	NetBandwidth      float64       // bytes/sec for shuffle and broadcast traffic
 	DiskBandwidth     float64       // bytes/sec for spills and disk-materialized shuffles
 	StageOverhead     time.Duration // scheduling cost charged per stage
-	JobOverhead       time.Duration // startup cost charged per job boundary
+	JobOverhead       time.Duration // startup cost priced per recorded job boundary
 	ShuffleToDisk     bool          // materialize shuffle data on disk (MapReduce-style)
 	RealParallelism   int           // actual concurrent goroutines (defaults to NumCPU)
 	SlowNodeFactor    float64       // executor 0 runs this much slower; <=1 disables
 	PoolLimit         int           // prepared datasets retained in the backend's DataPool (default DefaultPoolLimit); size up for servers holding many sessions on one backend
-}
-
-// SparkLike returns the default configuration modelled on the thesis'
-// deployment: 16 executors, 45 GB each, fast startup, in-memory shuffle.
-func SparkLike() Config {
-	return Config{
-		Executors:         16,
-		CoresPerExecutor:  24,
-		Partitions:        384,
-		MemoryPerExecutor: 45 << 30,
-		NetBandwidth:      1 << 30,   // 1 GiB/s
-		DiskBandwidth:     200 << 20, // 200 MiB/s
-		StageOverhead:     100 * time.Millisecond,
-		JobOverhead:       300 * time.Millisecond,
-	}
 }
 
 func (c Config) withDefaults() Config {
@@ -90,15 +83,16 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// SimBackend is the simulated-cluster backend. It owns a metrics registry,
-// the simulated clock, and a spill directory for disk-backed blocks.
+// SimBackend is the simulated-cluster backend. It owns the lifetime metrics
+// registry every query's counts land in, the stage clock, and a spill
+// directory for disk-backed blocks.
 type SimBackend struct {
 	conf Config
 	reg  *metrics.Registry
 	pool *DataPool
 
-	simMu   sync.Mutex
-	simTime time.Duration
+	stageMu    sync.Mutex
+	stageClock time.Duration // makespans plus StageOverhead, per RunStage
 
 	spill spiller
 	cols  columnArena
@@ -124,7 +118,7 @@ func (c *SimBackend) Name() string { return "sim" }
 // Config returns the effective (defaulted) configuration.
 func (c *SimBackend) Config() Config { return c.conf }
 
-// Reg returns the metrics registry.
+// Reg returns the lifetime metrics registry.
 func (c *SimBackend) Reg() *metrics.Registry { return c.reg }
 
 // Pool returns the prepared-dataset pool.
@@ -133,33 +127,47 @@ func (c *SimBackend) Pool() *DataPool { return c.pool }
 // Close removes any spill files. The backend is unusable afterwards.
 func (c *SimBackend) Close() error { return c.spill.cleanup() }
 
-// SimTime returns the simulated cluster clock.
-func (c *SimBackend) SimTime() time.Duration {
-	c.simMu.Lock()
-	defer c.simMu.Unlock()
-	return c.simTime
-}
-
-// AdvanceSim adds d to the simulated clock (cost-model hooks).
-func (c *SimBackend) AdvanceSim(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	c.simMu.Lock()
-	c.simTime += d
-	c.simMu.Unlock()
-}
-
 // TotalMemory returns the cluster-wide cache budget. Spark reserves ~60% of
 // executor memory for storage; the same fraction applies here (Section 4.5).
 func (c *SimBackend) TotalMemory() int64 {
 	return int64(float64(c.conf.MemoryPerExecutor) * 0.6 * float64(c.conf.Executors))
 }
 
-// JobBoundary charges one job startup (used per map-reduce round; dominant
-// for the Hive-like profile, small for Spark-like).
-func (c *SimBackend) JobBoundary() {
-	c.AdvanceSim(c.conf.JobOverhead)
+// SimTime returns the simulated cluster clock: the stage clock plus the price
+// of all work recorded on the backend's registry so far.
+func (c *SimBackend) SimTime() time.Duration {
+	c.stageMu.Lock()
+	t := c.stageClock
+	c.stageMu.Unlock()
+	return t + c.price()
+}
+
+// price is the cost model: the simulated time of the work recorded on the
+// backend's registry, beyond the stages themselves.
+//   - Each job boundary costs JobOverhead (dominant for the Hive-like
+//     profile, small for Spark-like).
+//   - A shuffle moves the fraction of its bytes leaving each node, pulled by
+//     all executors in parallel; a MapReduce-style configuration
+//     (ShuffleToDisk) also writes and reads every byte on disk. A Naive-join
+//     repartition (Section 3.2) is recorded as the shuffle it is.
+//   - A broadcast pipelines across nodes torrent-style, so it costs one
+//     transfer of the payload, not one per executor (Section 3.2).
+//   - Loading data from the distributed file system is spread across the
+//     executors reading their partitions in parallel.
+//   - Cache spills and reloads each cost one disk pass (Section 4.5).
+func (c *SimBackend) price() time.Duration {
+	e := int64(c.conf.Executors)
+	ctr := c.reg.Counter
+	shuffle := ctr(metrics.CtrShuffleBytes)
+	t := time.Duration(ctr(metrics.CtrJobs)) * c.conf.JobOverhead
+	t += c.transferTime(shuffle * (e - 1) / e / e)
+	if c.conf.ShuffleToDisk {
+		t += c.diskTime(2 * shuffle / e)
+	}
+	t += c.transferTime(ctr(metrics.CtrBroadcastBytes))
+	t += c.diskTime(ctr(metrics.CtrDiskReadBytes) / e)
+	t += c.diskTime(ctr(metrics.CtrSpillBytes)) + c.diskTime(ctr(metrics.CtrSpillReads))
+	return t
 }
 
 // transferTime converts a byte volume to simulated network time.
@@ -172,55 +180,20 @@ func (c *SimBackend) diskTime(bytes int64) time.Duration {
 	return time.Duration(float64(bytes) / c.conf.DiskBandwidth * float64(time.Second))
 }
 
-// ChargeShuffle accounts for moving the given volume across the cluster:
-// network transfer of the fraction leaving each node, plus a disk write and
-// read when the configuration materializes shuffles (MapReduce-style).
-func (c *SimBackend) ChargeShuffle(bytes int64, records int64) {
-	c.reg.Add(metrics.CtrShuffleBytes, bytes)
-	c.reg.Add(metrics.CtrShuffleRecords, records)
-	remote := bytes
-	if c.conf.Executors > 0 {
-		remote = bytes * int64(c.conf.Executors-1) / int64(c.conf.Executors)
-	}
-	// The transfer is spread across executors pulling in parallel.
-	per := remote / int64(c.conf.Executors)
-	c.AdvanceSim(c.transferTime(per))
-	if c.conf.ShuffleToDisk {
-		c.AdvanceSim(c.diskTime(2 * bytes / int64(c.conf.Executors)))
-		c.reg.Add(metrics.CtrSpillBytes, bytes)
-	}
-}
-
-// Broadcast accounts for replicating bytes to every executor (Section 3.2's
-// broadcast join replaces shuffling the big side with replicating the small
-// side). Torrent-style broadcast pipelines across nodes, so the cost is one
-// transfer of the payload, not one per executor.
-func (c *SimBackend) Broadcast(bytes int64) {
-	c.reg.Add(metrics.CtrBroadcastBytes, bytes)
-	c.AdvanceSim(c.transferTime(bytes))
-}
-
-// Repartition accounts for a full redistribution of a dataset across the
-// cluster, the cost Naive SIRUM pays per iteration to co-partition the join
-// inputs (Section 3.2).
-func (c *SimBackend) Repartition(bytes int64, records int64) {
-	c.ChargeShuffle(bytes, records)
-}
-
-// ChargeGather accounts for collecting bytes to the driver: one network
-// transfer to a single node.
-func (c *SimBackend) ChargeGather(bytes int64) {
-	c.AdvanceSim(c.transferTime(bytes))
-}
-
-// RunStage executes n tasks with bounded real parallelism, measures each
-// task's wall duration, and advances the simulated clock by the makespan of
-// scheduling those durations onto the virtual cluster. Task panics are
-// captured and re-raised on the caller with stage context after all tasks
-// finish.
+// RunStage executes n tasks with bounded real parallelism and advances the
+// stage clock (see runStage).
 func (c *SimBackend) RunStage(name string, n int, task func(i int)) {
+	c.runStage(c.reg, name, n, task)
+}
+
+// runStage executes n tasks with bounded real parallelism, measures each
+// task's wall duration, counts the stage on reg, and advances the stage
+// clock by the makespan of scheduling those durations onto the virtual
+// cluster. Task panics are captured and re-raised on the caller with stage
+// context after all tasks finish.
+func (c *SimBackend) runStage(reg *metrics.Registry, name string, n int, task func(i int)) {
 	if n == 0 {
-		c.AdvanceSim(c.conf.StageOverhead)
+		c.advance(c.conf.StageOverhead)
 		return
 	}
 	durations := make([]time.Duration, n)
@@ -248,9 +221,15 @@ func (c *SimBackend) RunStage(name string, n int, task func(i int)) {
 			panic(fmt.Sprintf("engine: task %d of stage %q panicked: %v", i, name, p))
 		}
 	}
-	c.reg.Add(metrics.CtrTasks, int64(n))
-	c.reg.Add(metrics.CtrStages, 1)
-	c.AdvanceSim(c.makespan(durations) + c.conf.StageOverhead)
+	reg.Add(metrics.CtrTasks, int64(n))
+	reg.Add(metrics.CtrStages, 1)
+	c.advance(c.makespan(durations) + c.conf.StageOverhead)
+}
+
+func (c *SimBackend) advance(d time.Duration) {
+	c.stageMu.Lock()
+	c.stageClock += d
+	c.stageMu.Unlock()
 }
 
 // makespan list-schedules the task durations onto Executors×Cores virtual
@@ -285,26 +264,7 @@ func (c *SimBackend) makespan(durations []time.Duration) time.Duration {
 // the named block.
 func (c *SimBackend) spillPath(name string) (string, error) { return c.spill.path(name) }
 
-// chargeSpill accounts for writing a spilled block: counter plus simulated
-// disk time.
-func (c *SimBackend) chargeSpill(bytes int64) {
-	c.reg.Add(metrics.CtrSpillBytes, bytes)
-	c.AdvanceSim(c.diskTime(bytes))
-}
-
-// chargeSpillRead accounts for faulting a spilled block back in.
-func (c *SimBackend) chargeSpillRead(bytes int64) {
-	c.reg.Add(metrics.CtrSpillReads, bytes)
-	c.AdvanceSim(c.diskTime(bytes))
-}
-
 // accountsBytes: the simulator prices operators by byte volume.
 func (c *SimBackend) accountsBytes() bool { return true }
 
 func (c *SimBackend) arena() *columnArena { return &c.cols }
-
-// ChargeDiskRead accounts for loading a dataset from the distributed file
-// system, spread across executors reading their partitions in parallel.
-func (c *SimBackend) ChargeDiskRead(bytes int64) {
-	c.AdvanceSim(c.diskTime(bytes / int64(c.conf.Executors)))
-}

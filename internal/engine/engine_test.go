@@ -29,16 +29,6 @@ func TestConfigDefaults(t *testing.T) {
 	}
 }
 
-func TestSparkLikePreset(t *testing.T) {
-	conf := SparkLike()
-	if conf.Executors != 16 || conf.Partitions != 384 {
-		t.Errorf("SparkLike = %+v", conf)
-	}
-	if conf.MemoryPerExecutor != 45<<30 {
-		t.Errorf("memory = %d", conf.MemoryPerExecutor)
-	}
-}
-
 func TestRunStageExecutesAllTasks(t *testing.T) {
 	c := NewSimBackend(testConfig())
 	defer c.Close()
@@ -119,23 +109,25 @@ func TestMakespanSlowNode(t *testing.T) {
 func TestChargeShuffleAndBroadcast(t *testing.T) {
 	c := NewSimBackend(Config{Executors: 4, NetBandwidth: 1 << 20, DiskBandwidth: 1 << 20})
 	defer c.Close()
-	c.ChargeShuffle(1<<20, 100)
+	out := ShuffleByKey(c, NewPColl([]map[int]int{{1: 1, 2: 2}, {2: 20, 3: 3}}), "x", 4,
+		func(a, b int) int { return a + b }, func(int, int) int { return 1 << 18 })
+	if out.NumParts() != 4 {
+		t.Fatalf("out parts = %d", out.NumParts())
+	}
 	if got := c.Reg().Counter(metrics.CtrShuffleBytes); got != 1<<20 {
 		t.Errorf("shuffle bytes = %d", got)
 	}
-	if got := c.Reg().Counter(metrics.CtrShuffleRecords); got != 100 {
+	if got := c.Reg().Counter(metrics.CtrShuffleRecords); got != 4 {
 		t.Errorf("shuffle records = %d", got)
 	}
-	t1 := c.SimTime()
-	if t1 <= 0 {
-		t.Error("shuffle did not advance clock")
+	// 1 MiB over 4 executors: 3/4 leaves each node, pulled 4 ways, at 1 MiB/s.
+	if got, want := c.price(), 3*time.Second/16; got != want {
+		t.Errorf("shuffle price = %v, want %v", got, want)
 	}
-	c.Broadcast(1 << 20)
-	if c.Reg().Counter(metrics.CtrBroadcastBytes) != 1<<20 {
-		t.Error("broadcast bytes not counted")
-	}
-	if c.SimTime() <= t1 {
-		t.Error("broadcast did not advance clock")
+	t1 := SimTime(c)
+	c.Reg().Add(metrics.CtrBroadcastBytes, 1<<20)
+	if got := SimTime(c) - t1; got != time.Second {
+		t.Errorf("1 MiB broadcast at 1 MiB/s advanced the clock by %v", got)
 	}
 }
 
@@ -144,51 +136,141 @@ func TestShuffleToDiskCostsMore(t *testing.T) {
 	disk := NewSimBackend(Config{Executors: 4, NetBandwidth: 1 << 20, DiskBandwidth: 1 << 20, ShuffleToDisk: true})
 	defer mem.Close()
 	defer disk.Close()
-	mem.ChargeShuffle(8<<20, 1)
-	disk.ChargeShuffle(8<<20, 1)
+	for _, b := range []*SimBackend{mem, disk} {
+		b.Reg().Add(metrics.CtrShuffleBytes, 8<<20)
+	}
 	if disk.SimTime() <= mem.SimTime() {
 		t.Errorf("disk shuffle (%v) not slower than memory shuffle (%v)", disk.SimTime(), mem.SimTime())
+	}
+	// The disk term prices shuffle_bytes; spill_bytes stays the cache's.
+	if got := disk.Reg().Counter(metrics.CtrSpillBytes); got != 0 {
+		t.Errorf("disk shuffle booked %d spill bytes", got)
 	}
 }
 
 func TestJobBoundary(t *testing.T) {
 	c := NewSimBackend(Config{JobOverhead: 7 * time.Second})
 	defer c.Close()
-	c.JobBoundary()
-	if c.SimTime() != 7*time.Second {
-		t.Errorf("job boundary sim time = %v", c.SimTime())
+	NewQueryScope(c).Reg().Add(metrics.CtrJobs, 1)
+	if SimTime(c) != 7*time.Second {
+		t.Errorf("job boundary sim time = %v", SimTime(c))
 	}
 }
 
-func TestSplitSlice(t *testing.T) {
-	data := []int{1, 2, 3, 4, 5, 6, 7}
-	parts := SplitSlice(data, 3)
-	if len(parts) != 3 {
-		t.Fatalf("parts = %d", len(parts))
+// chargeRef is a per-call copy of the cost model as it stood when each
+// operator advanced the simulated clock itself, one charge per call with the
+// integer divisions applied per call. TestSimPricesRecordedWork holds
+// SimBackend.price, which applies the same formulas once to the recorded
+// totals, to it.
+type chargeRef struct {
+	conf Config
+	t    time.Duration
+}
+
+func (r *chargeRef) transfer(bytes int64) {
+	r.t += time.Duration(float64(bytes) / r.conf.NetBandwidth * float64(time.Second))
+}
+
+func (r *chargeRef) disk(bytes int64) {
+	r.t += time.Duration(float64(bytes) / r.conf.DiskBandwidth * float64(time.Second))
+}
+
+func (r *chargeRef) shuffle(bytes int64) {
+	e := int64(r.conf.Executors)
+	remote := bytes * (e - 1) / e
+	r.transfer(remote / e)
+	if r.conf.ShuffleToDisk {
+		r.disk(2 * bytes / e)
 	}
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	if total != 7 {
-		t.Errorf("split lost rows: %v", parts)
-	}
-	if len(SplitSlice([]int{1}, 5)) != 1 {
-		t.Error("more parts than rows")
-	}
-	empty := SplitSlice([]int{}, 3)
-	if len(empty) != 1 || len(empty[0]) != 0 {
-		t.Errorf("empty split = %v", empty)
-	}
-	if len(SplitSlice(data, 0)) != 1 {
-		t.Error("zero parts should clamp to 1")
+}
+
+// TestSimPricesRecordedWork records a table of work — each kind of count an
+// operator records, through a query scope as queries do — and checks that
+// the priced clock equals the per-call charges after every row, on several
+// cluster shapes with and without disk-materialized shuffles.
+func TestSimPricesRecordedWork(t *testing.T) {
+	blocks := makeBlocks(6, 100, 3)
+	perBlock := blocks[0].Bytes()
+	for _, execs := range []int{1, 3, 16} {
+		for _, toDisk := range []bool{false, true} {
+			conf := Config{
+				Executors:         execs,
+				NetBandwidth:      48 << 20, // a byte of integer-division rounding
+				DiskBandwidth:     16 << 20, // stays far below the 1µs tolerance
+				JobOverhead:       300 * time.Millisecond,
+				ShuffleToDisk:     toDisk,
+				MemoryPerExecutor: int64(float64(2*perBlock)/0.6/float64(execs)) + 1,
+			}
+			c := NewSimBackend(conf)
+			q := NewQueryScope(c)
+			ref := &chargeRef{conf: c.Config()}
+			var cd *CachedData
+			work := []struct {
+				name   string
+				record func()
+				charge func()
+			}{
+				{"shuffle", func() {
+					q.Reg().Add(metrics.CtrShuffleBytes, 1_000_003)
+					q.Reg().Add(metrics.CtrShuffleRecords, 17)
+				}, func() { ref.shuffle(1_000_003) }},
+				{"shuffle again", func() {
+					q.Reg().Add(metrics.CtrShuffleBytes, 77_777)
+					q.Reg().Add(metrics.CtrShuffleRecords, 5)
+				}, func() { ref.shuffle(77_777) }},
+				{"broadcast", func() { q.Reg().Add(metrics.CtrBroadcastBytes, 654_321) },
+					func() { ref.transfer(654_321) }},
+				{"naive repartition", func() { q.Reg().Add(metrics.CtrShuffleBytes, 2_500_001) },
+					func() { ref.shuffle(2_500_001) }},
+				{"jobs", func() { q.Reg().Add(metrics.CtrJobs, 3) },
+					func() { ref.t += 3 * conf.JobOverhead }},
+				{"disk read", func() { q.Reg().Add(metrics.CtrDiskReadBytes, 9_999_991) },
+					func() { ref.disk(9_999_991 / int64(execs)) }},
+				{"cache spill", func() {
+					var err error
+					if cd, err = CacheTuples(q, blocks); err != nil {
+						t.Fatal(err)
+					}
+				}, func() {
+					// A 2-block budget admitting 6 blocks in order spills 4.
+					for i := 0; i < 4; i++ {
+						ref.disk(perBlock)
+					}
+				}},
+				{"cache reload", func() {
+					for i := 0; i < 3; i++ {
+						if _, err := cd.Get(i); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}, func() {
+					// Reloading blocks 0-2 evicts 4, 5 and 0 in LRU order; only
+					// 4 and 5, never yet on disk, are written.
+					for i := 0; i < 5; i++ {
+						ref.disk(perBlock)
+					}
+				}},
+			}
+			for _, w := range work {
+				w.record()
+				w.charge()
+				if d := SimTime(q) - ref.t; d < -time.Microsecond || d > time.Microsecond {
+					t.Errorf("executors=%d toDisk=%v after %s: priced %v, charged %v", execs, toDisk, w.name, SimTime(q), ref.t)
+				}
+			}
+			if got := c.Reg().Counter(metrics.CtrSpillReads); got != 3*perBlock {
+				t.Errorf("executors=%d toDisk=%v: reload bytes = %d, want %d", execs, toDisk, got, 3*perBlock)
+			}
+			q.Finish()
+			c.Close()
+		}
 	}
 }
 
 func TestMapPartsAndForEachPart(t *testing.T) {
 	c := NewSimBackend(testConfig())
 	defer c.Close()
-	in := NewPColl(SplitSlice([]int{1, 2, 3, 4, 5, 6}, 3))
+	in := NewPColl([][]int{{1, 2}, {3, 4}, {5, 6}})
 	sums := MapParts(c, in, "sum", func(_ int, p []int) int {
 		s := 0
 		for _, v := range p {
@@ -205,13 +287,6 @@ func TestMapPartsAndForEachPart(t *testing.T) {
 	}
 	if sums.NumParts() != in.NumParts() {
 		t.Error("MapParts changed partitioning")
-	}
-	var count atomic.Int64
-	ForEachPart(c, in, "visit", func(i int, p []int) {
-		count.Add(int64(len(p)))
-	})
-	if count.Load() != 6 {
-		t.Errorf("ForEachPart visited %d rows", count.Load())
 	}
 	if in.Part(0) == nil {
 		t.Error("Part accessor broken")
@@ -254,17 +329,6 @@ func TestShuffleByKey(t *testing.T) {
 	}
 }
 
-func TestCollectMap(t *testing.T) {
-	c := NewSimBackend(testConfig())
-	defer c.Close()
-	parts := []map[string]int{{"x": 1}, {"x": 2, "y": 5}}
-	got := CollectMap(c, NewPColl(parts), "gather", func(a, b int) int { return a + b },
-		func(k string, v int) int { return 16 })
-	if got["x"] != 3 || got["y"] != 5 {
-		t.Errorf("collect = %v", got)
-	}
-}
-
 func TestShuffleDefaultPartitions(t *testing.T) {
 	c := NewSimBackend(testConfig())
 	defer c.Close()
@@ -285,10 +349,4 @@ func TestHashKeyTypes(t *testing.T) {
 	_ = hashKey(int64(7))
 	_ = hashKey(uint64(7))
 	_ = hashKey(3.14) // fallback path
-}
-
-func TestSimCost(t *testing.T) {
-	if got := SimCost(1000, time.Microsecond); got != time.Millisecond {
-		t.Errorf("SimCost = %v", got)
-	}
 }

@@ -5,18 +5,17 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"sirum/internal/metrics"
 )
 
 // NativeBackend runs the SIRUM dataflow as fast as the host hardware allows:
-// no simulated clock, no per-task duration measurement, no cost models. A
-// stage's tasks are executed by a fixed pool of workers with work stealing,
-// so skewed partitions cannot idle cores the way static assignment would.
-// Byte-volume counters that exist purely to price the simulation are not
-// computed; cheap record counters are kept so observability survives the
-// switch.
+// no simulated clock and no per-task duration measurement. A stage's tasks
+// are executed by a fixed pool of workers with work stealing, so skewed
+// partitions cannot idle cores the way static assignment would. Operators
+// record the same counts as on SimBackend, except per-record byte sizes,
+// which exist only to price the simulation and are not computed (see
+// accountsBytes).
 type NativeBackend struct {
 	conf    Config
 	reg     *metrics.Registry
@@ -64,68 +63,36 @@ func (b *NativeBackend) Pool() *DataPool { return b.pool }
 // Close removes any spill files. The backend is unusable afterwards.
 func (b *NativeBackend) Close() error { return b.spill.cleanup() }
 
-// SimTime is always zero: the native backend keeps no virtual clock.
-func (b *NativeBackend) SimTime() time.Duration { return 0 }
-
 // TotalMemory returns the cache budget, the same 60% storage fraction the
 // simulator uses so memory-bounded configurations behave identically.
 func (b *NativeBackend) TotalMemory() int64 {
 	return int64(float64(b.conf.MemoryPerExecutor) * 0.6 * float64(b.conf.Executors))
 }
 
-// JobBoundary is a no-op: there is no job startup to model.
-func (b *NativeBackend) JobBoundary() {}
-
-// ChargeShuffle records the record counter only; bytes are usually not
-// computed on the native path (see accountsBytes).
-func (b *NativeBackend) ChargeShuffle(bytes, records int64) {
-	if bytes > 0 {
-		b.reg.Add(metrics.CtrShuffleBytes, bytes)
-	}
-	b.reg.Add(metrics.CtrShuffleRecords, records)
-}
-
-// Broadcast records the counter; in-process "broadcast" is a pointer share.
-func (b *NativeBackend) Broadcast(bytes int64) {
-	b.reg.Add(metrics.CtrBroadcastBytes, bytes)
-}
-
-// Repartition is free in-process: partitions already live in one heap.
-func (b *NativeBackend) Repartition(bytes, records int64) {}
-
-// ChargeDiskRead is a no-op: the data is already in memory.
-func (b *NativeBackend) ChargeDiskRead(bytes int64) {}
-
-// ChargeGather is a no-op: the driver and the workers share an address space.
-func (b *NativeBackend) ChargeGather(bytes int64) {}
-
 // spillPath lazily creates the spill directory and returns a file path for
 // the named block (the cache can still spill under an explicit memory
 // budget).
 func (b *NativeBackend) spillPath(name string) (string, error) { return b.spill.path(name) }
-
-func (b *NativeBackend) chargeSpill(bytes int64) {
-	b.reg.Add(metrics.CtrSpillBytes, bytes)
-}
-
-func (b *NativeBackend) chargeSpillRead(bytes int64) {
-	b.reg.Add(metrics.CtrSpillReads, bytes)
-}
 
 // accountsBytes: per-record byte sizing is simulation-only overhead.
 func (b *NativeBackend) accountsBytes() bool { return false }
 
 func (b *NativeBackend) arena() *columnArena { return &b.cols }
 
-// RunStage executes n tasks on the worker pool with work stealing. Task
-// panics are captured and re-raised on the caller with stage context after
-// all tasks finish, matching SimBackend.
+// RunStage executes n tasks on the worker pool (see runStage).
 func (b *NativeBackend) RunStage(name string, n int, task func(i int)) {
+	b.runStage(b.reg, name, n, task)
+}
+
+// runStage executes n tasks on the worker pool with work stealing and counts
+// the stage on reg. Task panics are captured and re-raised on the caller with
+// stage context after all tasks finish, matching SimBackend.
+func (b *NativeBackend) runStage(reg *metrics.Registry, name string, n int, task func(i int)) {
 	if n <= 0 {
 		return
 	}
-	b.reg.Add(metrics.CtrTasks, int64(n))
-	b.reg.Add(metrics.CtrStages, 1)
+	reg.Add(metrics.CtrTasks, int64(n))
+	reg.Add(metrics.CtrStages, 1)
 
 	// runTask shields the scheduler from task panics, reporting the payload.
 	runTask := func(i int) (p any) {

@@ -88,24 +88,36 @@ func TestNativeRunStagePanicPropagates(t *testing.T) {
 	})
 }
 
+// TestNativeNoSimClock: operators record every count on the native backend
+// too, but it keeps no clock. Byte volumes the operators only size for
+// pricing (the shuffle map side) stay unrecorded.
 func TestNativeNoSimClock(t *testing.T) {
 	b := testNative()
 	defer b.Close()
-	b.RunStage("s", 8, func(int) { time.Sleep(time.Millisecond) })
-	b.ChargeShuffle(1<<20, 10)
-	b.Broadcast(1 << 20)
-	b.Repartition(1<<20, 10)
-	b.ChargeDiskRead(1 << 30)
-	b.ChargeGather(1 << 30)
-	b.JobBoundary()
-	if b.SimTime() != 0 {
-		t.Errorf("native sim time = %v, want 0", b.SimTime())
+	q := NewQueryScope(b)
+	defer q.Finish()
+	q.RunStage("s", 8, func(int) { time.Sleep(time.Millisecond) })
+	ShuffleByKey(q, NewPColl([]map[int]int{{1: 1}, {2: 2}, {1: 3}}), "x", 2,
+		func(a, b int) int { return a + b }, func(int, int) int { return 1 << 20 })
+	q.Reg().Add(metrics.CtrBroadcastBytes, 1<<20)
+	q.Reg().Add(metrics.CtrShuffleBytes, 1<<20) // a Naive-join repartition
+	q.Reg().Add(metrics.CtrDiskReadBytes, 1<<30)
+	q.Reg().Add(metrics.CtrJobs, 1)
+	if got := SimTime(q); got != 0 {
+		t.Errorf("native sim time = %v, want 0", got)
 	}
-	if b.Reg().Counter(metrics.CtrShuffleRecords) != 10 {
-		t.Errorf("shuffle records = %d", b.Reg().Counter(metrics.CtrShuffleRecords))
+	want := map[string]int64{
+		metrics.CtrStages:         3,
+		metrics.CtrShuffleRecords: 3,
+		metrics.CtrShuffleBytes:   1 << 20,
+		metrics.CtrBroadcastBytes: 1 << 20,
+		metrics.CtrDiskReadBytes:  1 << 30,
+		metrics.CtrJobs:           1,
 	}
-	if b.Reg().Counter(metrics.CtrBroadcastBytes) != 1<<20 {
-		t.Errorf("broadcast bytes = %d", b.Reg().Counter(metrics.CtrBroadcastBytes))
+	for name, v := range want {
+		if got := b.Reg().Counter(name); got != v {
+			t.Errorf("%s = %d, want %d", name, got, v)
+		}
 	}
 	if b.Name() != "native" {
 		t.Errorf("name = %q", b.Name())
@@ -150,9 +162,9 @@ func TestNativeCacheSpills(t *testing.T) {
 	}
 }
 
-// TestShuffleByKeyBackendsAgree checks the native slice-bucket exchange and
-// the simulated map-of-maps exchange produce identical merged contents with
-// key-disjoint output partitions.
+// TestShuffleByKeyBackendsAgree checks the exchange produces identical merged
+// contents with key-disjoint output partitions whether or not the backend
+// sizes record bytes, and that only the simulator records the bytes.
 func TestShuffleByKeyBackendsAgree(t *testing.T) {
 	parts := make([]map[string]int, 7)
 	for i := range parts {
@@ -201,6 +213,12 @@ func TestShuffleByKeyBackendsAgree(t *testing.T) {
 		if fn[k] != v {
 			t.Errorf("key %q: sim %d native %d", k, v, fn[k])
 		}
+	}
+	if sim.Reg().Counter(metrics.CtrShuffleBytes) == 0 || nat.Reg().Counter(metrics.CtrShuffleBytes) != 0 {
+		t.Errorf("shuffle bytes: sim %d native %d", sim.Reg().Counter(metrics.CtrShuffleBytes), nat.Reg().Counter(metrics.CtrShuffleBytes))
+	}
+	if sim.Reg().Counter(metrics.CtrShuffleRecords) != nat.Reg().Counter(metrics.CtrShuffleRecords) {
+		t.Errorf("shuffle records: sim %d native %d", sim.Reg().Counter(metrics.CtrShuffleRecords), nat.Reg().Counter(metrics.CtrShuffleRecords))
 	}
 	// Same partition assignment on both backends (same hash).
 	for p := 0; p < outSim.NumParts(); p++ {

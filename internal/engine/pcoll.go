@@ -3,9 +3,9 @@ package engine
 import (
 	"fmt"
 	"hash/fnv"
-	"math"
 	"sync/atomic"
-	"time"
+
+	"sirum/internal/metrics"
 )
 
 // PColl is a partitioned collection: one element of type P per partition.
@@ -21,32 +21,11 @@ func NewPColl[P any](parts []P) *PColl[P] { return &PColl[P]{parts: parts} }
 // NumParts returns the partition count.
 func (p *PColl[P]) NumParts() int { return len(p.parts) }
 
-// Parts exposes the partition payloads (driver-side; no cost is charged).
+// Parts exposes the partition payloads (driver-side; nothing is recorded).
 func (p *PColl[P]) Parts() []P { return p.parts }
 
 // Part returns partition i.
 func (p *PColl[P]) Part(i int) P { return p.parts[i] }
-
-// SplitSlice partitions a slice into n contiguous chunks of near-equal size
-// (fewer when len(data) < n); the standard way row sets enter the engine.
-func SplitSlice[T any](data []T, n int) [][]T {
-	if n <= 0 {
-		n = 1
-	}
-	if n > len(data) && len(data) > 0 {
-		n = len(data)
-	}
-	if len(data) == 0 {
-		return [][]T{nil}
-	}
-	out := make([][]T, 0, n)
-	per := int(math.Ceil(float64(len(data)) / float64(n)))
-	for start := 0; start < len(data); start += per {
-		end := min(start+per, len(data))
-		out = append(out, data[start:end])
-	}
-	return out
-}
 
 // MapParts applies f to every partition in parallel, producing a new
 // collection with the same partitioning.
@@ -58,13 +37,6 @@ func MapParts[P, Q any](b Backend, in *PColl[P], name string, f func(part int, p
 	return NewPColl(out)
 }
 
-// ForEachPart applies f to every partition in parallel for its side effects.
-func ForEachPart[P any](b Backend, in *PColl[P], name string, f func(part int, p P)) {
-	b.RunStage(name, in.NumParts(), func(i int) {
-		f(i, in.parts[i])
-	})
-}
-
 // KeyBytes estimates serialized record volume for shuffle accounting; the
 // caller supplies per-record byte sizes since Go values have no serialized
 // form until encoded. Backends that do not price byte volume (the native
@@ -74,76 +46,19 @@ type KeyBytes[K comparable, V any] func(k K, v V) int
 // ShuffleByKey redistributes per-partition hash maps by key so that every
 // key lives in exactly one output partition, merging values with merge. This
 // is the reduceByKey of the data-cube algorithm: the inputs act as combiner
-// output, the exchange is charged to the backend, and the merge runs as a
-// reduce stage. On the native backend the exchange partitions records into
-// preallocated per-bucket slices instead of building a map per (input
-// partition, output partition) pair.
+// output, the exchange is recorded as a shuffle, and the merge runs as a
+// reduce stage. The map side appends records to preallocated per-bucket
+// slices (keys within one input partition are already unique, so no map
+// insert or merge is needed there), sizing each record's bytes only on
+// backends that price byte volume; the reduce side merges each bucket
+// column into one map presized to its record count.
 func ShuffleByKey[K comparable, V any](b Backend, in *PColl[map[K]V], name string, outParts int, merge func(V, V) V, size KeyBytes[K, V]) *PColl[map[K]V] {
 	if outParts <= 0 {
 		outParts = b.Config().Partitions
 	}
-	if !b.accountsBytes() {
-		return shuffleByKeyNative(b, in, name, outParts, merge)
-	}
-	// Map side: split each input partition into outParts buckets by key
-	// hash. Runs as a stage so its cost lands on the simulated clock.
-	buckets := make([][]map[K]V, in.NumParts())
-	var shuffleBytes, shuffleRecords int64
-	byteCounts := make([]int64, in.NumParts())
-	recCounts := make([]int64, in.NumParts())
-	b.RunStage(name+"/map", in.NumParts(), func(i int) {
-		local := make([]map[K]V, outParts)
-		for bkt := range local {
-			local[bkt] = make(map[K]V)
-		}
-		for k, v := range in.parts[i] {
-			bkt := int(hashKey(k) % uint64(outParts))
-			if old, ok := local[bkt][k]; ok {
-				local[bkt][k] = merge(old, v)
-			} else {
-				local[bkt][k] = v
-			}
-			byteCounts[i] += int64(size(k, v))
-			recCounts[i]++
-		}
-		buckets[i] = local
-	})
-	for i := range byteCounts {
-		shuffleBytes += byteCounts[i]
-		shuffleRecords += recCounts[i]
-	}
-	b.ChargeShuffle(shuffleBytes, shuffleRecords)
-	// Reduce side: merge bucket p of every input partition.
-	out := make([]map[K]V, outParts)
-	b.RunStage(name+"/reduce", outParts, func(p int) {
-		merged := make(map[K]V)
-		for i := range buckets {
-			for k, v := range buckets[i][p] {
-				if old, ok := merged[k]; ok {
-					merged[k] = merge(old, v)
-				} else {
-					merged[k] = v
-				}
-			}
-		}
-		out[p] = merged
-	})
-	return NewPColl(out)
-}
-
-// kvPair is one shuffled record on the native path.
-type kvPair[K comparable, V any] struct {
-	k K
-	v V
-}
-
-// shuffleByKeyNative is the fast exchange: the map side appends records to
-// preallocated per-bucket slices (keys within one input partition are
-// already unique, so no map insert or merge is needed there), and the reduce
-// side merges each bucket column into one map presized to its record count.
-func shuffleByKeyNative[K comparable, V any](b Backend, in *PColl[map[K]V], name string, outParts int, merge func(V, V) V) *PColl[map[K]V] {
+	account := b.accountsBytes()
 	buckets := make([][][]kvPair[K, V], in.NumParts())
-	var records atomic.Int64
+	var records, bytes atomic.Int64
 	b.RunStage(name+"/map", in.NumParts(), func(i int) {
 		part := in.parts[i]
 		local := make([][]kvPair[K, V], outParts)
@@ -155,10 +70,17 @@ func shuffleByKeyNative[K comparable, V any](b Backend, in *PColl[map[K]V], name
 			bkt := int(hashKey(k) % uint64(outParts))
 			local[bkt] = append(local[bkt], kvPair[K, V]{k, v})
 		}
+		if account {
+			var sized int64
+			for k, v := range part {
+				sized += int64(size(k, v))
+			}
+			bytes.Add(sized)
+		}
 		records.Add(int64(len(part)))
 		buckets[i] = local
 	})
-	b.ChargeShuffle(0, records.Load())
+	recordShuffle(b, bytes.Load(), records.Load())
 	out := make([]map[K]V, outParts)
 	b.RunStage(name+"/reduce", outParts, func(p int) {
 		total := 0
@@ -180,30 +102,19 @@ func shuffleByKeyNative[K comparable, V any](b Backend, in *PColl[map[K]V], name
 	return NewPColl(out)
 }
 
-// CollectMap gathers a keyed collection to the driver, merging duplicates
-// (none exist after ShuffleByKey; MapParts output may have them). The gather
-// runs as a named single-task stage and its volume is charged as a transfer
-// to the driver.
-func CollectMap[K comparable, V any](b Backend, in *PColl[map[K]V], name string, merge func(V, V) V, size KeyBytes[K, V]) map[K]V {
-	total := make(map[K]V)
-	var bytes int64
-	account := b.accountsBytes()
-	b.RunStage(name, 1, func(int) {
-		for _, part := range in.parts {
-			for k, v := range part {
-				if old, ok := total[k]; ok {
-					total[k] = merge(old, v)
-				} else {
-					total[k] = v
-				}
-				if account {
-					bytes += int64(size(k, v))
-				}
-			}
-		}
-	})
-	b.ChargeGather(bytes)
-	return total
+// kvPair is one shuffled record.
+type kvPair[K comparable, V any] struct {
+	k K
+	v V
+}
+
+// recordShuffle books one exchange on b's registry; backends that do not
+// size bytes pass 0 and book records only.
+func recordShuffle(b Backend, bytes, records int64) {
+	if bytes > 0 {
+		b.Reg().Add(metrics.CtrShuffleBytes, bytes)
+	}
+	b.Reg().Add(metrics.CtrShuffleRecords, records)
 }
 
 // FNV-1a constants, inlined so string hashing needs no hash.Hash64 object or
@@ -246,13 +157,6 @@ func anyString(v any) string {
 		return s.String()
 	}
 	return fmt.Sprint(v)
-}
-
-// SimCost converts an abstract operation count at a given per-op rate into
-// simulated time; used by platform profiles to model disk-oriented access
-// (PostgreSQL-like scans).
-func SimCost(ops int64, perOp time.Duration) time.Duration {
-	return time.Duration(ops) * perOp
 }
 
 func mix64(x uint64) uint64 {

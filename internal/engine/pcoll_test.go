@@ -1,55 +1,6 @@
 package engine
 
-import (
-	"testing"
-
-	"sirum/internal/metrics"
-)
-
-// TestSplitSliceEdgeCases pins the boundary behaviour row sets rely on when
-// entering the engine.
-func TestSplitSliceEdgeCases(t *testing.T) {
-	// Empty input always yields exactly one (nil) partition.
-	for _, n := range []int{-3, 0, 1, 5} {
-		got := SplitSlice([]int{}, n)
-		if len(got) != 1 || len(got[0]) != 0 {
-			t.Errorf("SplitSlice(empty, %d) = %v", n, got)
-		}
-	}
-	// n <= 0 clamps to one partition holding everything.
-	for _, n := range []int{0, -1} {
-		got := SplitSlice([]int{1, 2, 3}, n)
-		if len(got) != 1 || len(got[0]) != 3 {
-			t.Errorf("SplitSlice(3 rows, %d) = %v", n, got)
-		}
-	}
-	// n > len caps at one row per partition.
-	got := SplitSlice([]int{1, 2, 3}, 10)
-	if len(got) != 3 {
-		t.Errorf("SplitSlice(3 rows, 10) has %d parts", len(got))
-	}
-	// Chunks are contiguous, ordered and near-even.
-	data := make([]int, 17)
-	for i := range data {
-		data[i] = i
-	}
-	parts := SplitSlice(data, 4)
-	var flat []int
-	for _, p := range parts {
-		if len(p) == 0 {
-			t.Error("empty chunk in non-empty split")
-		}
-		flat = append(flat, p...)
-	}
-	if len(flat) != 17 {
-		t.Fatalf("split lost rows: %v", parts)
-	}
-	for i, v := range flat {
-		if v != i {
-			t.Fatalf("chunks not contiguous in order: %v", parts)
-		}
-	}
-}
+import "testing"
 
 // TestShuffleByKeyMergeCorrectness shuffles overlapping keys through a
 // many-to-few exchange and checks full merge plus key disjointness.
@@ -87,29 +38,6 @@ func TestShuffleByKeyMergeCorrectness(t *testing.T) {
 		if got[k] != v {
 			t.Errorf("key %q = %d, want %d", k, got[k], v)
 		}
-	}
-}
-
-// TestCollectMapMergesDuplicatesAndCharges verifies duplicate keys across
-// partitions are merged, and that the gather is now recorded as a named
-// stage with its transfer charged to the simulated clock.
-func TestCollectMapMergesDuplicatesAndCharges(t *testing.T) {
-	c := NewSimBackend(Config{Executors: 2, NetBandwidth: 1 << 10})
-	defer c.Close()
-	stagesBefore := c.Reg().Counter(metrics.CtrStages)
-	parts := []map[string]int{{"x": 1, "y": 2}, {"x": 10}, {"x": 100, "z": 7}}
-	got := CollectMap(c, NewPColl(parts), "gather", func(a, b int) int { return a + b },
-		func(k string, _ int) int { return 1 << 9 })
-	if got["x"] != 111 || got["y"] != 2 || got["z"] != 7 || len(got) != 3 {
-		t.Errorf("collect = %v", got)
-	}
-	if c.Reg().Counter(metrics.CtrStages) != stagesBefore+1 {
-		t.Errorf("gather not recorded as a stage (stages = %d)", c.Reg().Counter(metrics.CtrStages))
-	}
-	// 4 records x 512 bytes over 1 KiB/s: the driver transfer must show up
-	// on the simulated clock.
-	if c.SimTime() <= 0 {
-		t.Error("gather transfer not charged to the simulated clock")
 	}
 }
 

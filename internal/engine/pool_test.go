@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
+
+	"sirum/internal/metrics"
 )
 
 func poolBlocks(rows, parts int) []*TupleBlock {
@@ -314,7 +317,7 @@ func TestQueryScopeIsolatesMetrics(t *testing.T) {
 	s1 := NewQueryScope(b)
 	s2 := NewQueryScope(b)
 	s1.RunStage("one", 3, func(int) {})
-	s2.ChargeShuffle(100, 7)
+	recordShuffle(s2, 100, 7)
 	if got := s1.Reg().Counter("tasks"); got != 3 {
 		t.Errorf("scope 1 tasks = %d, want 3", got)
 	}
@@ -334,6 +337,15 @@ func TestQueryScopeIsolatesMetrics(t *testing.T) {
 	if got := b.Reg().Counter("shuffle_bytes"); got != 100 {
 		t.Errorf("backend shuffle bytes = %d", got)
 	}
+	// Operator counters and phases reach the backend live, before Finish.
+	s1.Reg().Add(metrics.CtrCandidates, 5)
+	s1.Reg().AddPhase(metrics.PhaseScaling, time.Millisecond)
+	if got := b.Reg().Counter(metrics.CtrCandidates); got != 5 {
+		t.Errorf("backend candidates before Finish = %d, want 5", got)
+	}
+	if got := b.Reg().Phase(metrics.PhaseScaling); got != time.Millisecond {
+		t.Errorf("backend scaling phase before Finish = %v", got)
+	}
 	// Scopes never chain, and closing one is a no-op for the backend.
 	if NewQueryScope(s1).Base() != b {
 		t.Error("scope of a scope did not attach to the base backend")
@@ -343,5 +355,36 @@ func TestQueryScopeIsolatesMetrics(t *testing.T) {
 	}
 	if b.Pool() != s2.Pool() {
 		t.Error("scope does not share the backend pool")
+	}
+	s1.Finish()
+	s2.Finish()
+
+	// Eight concurrent scopes: every count and phase lands exactly once.
+	fresh := NewSimBackend(Config{Executors: 2, CoresPerExecutor: 2})
+	defer fresh.Close()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			q := NewQueryScope(fresh)
+			defer q.Finish()
+			q.RunStage("q", 2, func(int) {})
+			q.Reg().Add(metrics.CtrCandidates, 1)
+			q.Reg().AddPhase(metrics.PhaseScaling, time.Millisecond)
+			if got := q.Reg().Counter(metrics.CtrCandidates); got != 1 {
+				t.Errorf("scope candidates = %d, want 1", got)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := fresh.Reg().Counter(metrics.CtrCandidates); got != 8 {
+		t.Errorf("backend candidates = %d, want 8", got)
+	}
+	if got := fresh.Reg().Counter(metrics.CtrTasks); got != 16 {
+		t.Errorf("backend tasks = %d, want 16", got)
+	}
+	if got := fresh.Reg().Phase(metrics.PhaseScaling); got != 8*time.Millisecond {
+		t.Errorf("backend scaling phase = %v, want 8ms", got)
 	}
 }

@@ -2,19 +2,17 @@ package engine
 
 import (
 	"sync"
-	"time"
 
 	"sirum/internal/metrics"
 )
 
-// QueryScope is a per-query view of a shared Backend. It delegates all
-// execution — scheduling, cost charging, the simulated clock, spill files —
-// to the underlying backend, but owns a private metrics registry, so
-// counters and phase durations accumulated by one query never mix with
-// another query running concurrently on the same backend. Counter-bearing
-// charges are double-booked: the query's registry isolates one query, while
-// the backend's registry keeps accumulating lifetime totals across all
-// queries (the behaviour single-query callers always observed).
+// QueryScope is a per-query view of a shared Backend. It schedules on the
+// underlying backend and shares its spill files, cache budget and arena, but
+// owns a private metrics registry, so counters and phase durations recorded
+// by one query never mix with another query running concurrently on the
+// same backend. The private registry is a child of the backend's: every
+// recording also lands, once and live, in the backend's lifetime totals,
+// which is also what SimBackend prices.
 //
 // Closing a scope is a no-op: a scope is a view, and tearing down the shared
 // backend is its owner's job.
@@ -41,10 +39,10 @@ func NewQueryScope(b Backend) *QueryScope {
 	if s, ok := b.(*QueryScope); ok {
 		b = s.base
 	}
-	return &QueryScope{base: b, reg: metrics.NewRegistry()}
+	return &QueryScope{base: b, reg: b.Reg().Child()}
 }
 
-// Base returns the shared backend the scope charges execution to.
+// Base returns the shared backend the scope schedules on.
 func (s *QueryScope) Base() Backend { return s.base }
 
 // Name identifies the underlying backend.
@@ -56,64 +54,15 @@ func (s *QueryScope) Config() Config { return s.base.Config() }
 // Reg returns the query-private metrics registry.
 func (s *QueryScope) Reg() *metrics.Registry { return s.reg }
 
-// RunStage schedules on the shared backend and books the task/stage counters
-// to the query.
+// RunStage schedules on the shared backend and counts the stage on the
+// query's registry.
 func (s *QueryScope) RunStage(name string, n int, task func(i int)) {
-	if n > 0 {
-		s.reg.Add(metrics.CtrTasks, int64(n))
-		s.reg.Add(metrics.CtrStages, 1)
-	}
-	s.base.RunStage(name, n, task)
+	s.base.runStage(s.reg, name, n, task)
 }
 
-// JobBoundary charges one job startup on the shared backend.
-func (s *QueryScope) JobBoundary() { s.base.JobBoundary() }
-
-// ChargeShuffle books the shuffle counters to the query and charges the
-// shared backend.
-func (s *QueryScope) ChargeShuffle(bytes, records int64) {
-	if bytes > 0 {
-		s.reg.Add(metrics.CtrShuffleBytes, bytes)
-		if s.base.accountsBytes() && s.base.Config().ShuffleToDisk {
-			s.reg.Add(metrics.CtrSpillBytes, bytes)
-		}
-	}
-	s.reg.Add(metrics.CtrShuffleRecords, records)
-	s.base.ChargeShuffle(bytes, records)
+func (s *QueryScope) runStage(reg *metrics.Registry, name string, n int, task func(i int)) {
+	s.base.runStage(reg, name, n, task)
 }
-
-// Broadcast books the broadcast counter to the query and charges the shared
-// backend.
-func (s *QueryScope) Broadcast(bytes int64) {
-	if bytes > 0 {
-		s.reg.Add(metrics.CtrBroadcastBytes, bytes)
-	}
-	s.base.Broadcast(bytes)
-}
-
-// Repartition charges the shared backend, booking the traffic to the query
-// under the backend's own policy (a shuffle when the backend prices bytes,
-// free in-process on the native path).
-func (s *QueryScope) Repartition(bytes, records int64) {
-	if s.base.accountsBytes() {
-		if bytes > 0 {
-			s.reg.Add(metrics.CtrShuffleBytes, bytes)
-		}
-		s.reg.Add(metrics.CtrShuffleRecords, records)
-	}
-	s.base.Repartition(bytes, records)
-}
-
-// ChargeDiskRead charges the shared backend.
-func (s *QueryScope) ChargeDiskRead(bytes int64) { s.base.ChargeDiskRead(bytes) }
-
-// ChargeGather charges the shared backend.
-func (s *QueryScope) ChargeGather(bytes int64) { s.base.ChargeGather(bytes) }
-
-// SimTime returns the shared simulated clock. Under concurrent queries the
-// clock interleaves all queries' charges; per-query simulated durations are
-// only meaningful for queries run serially.
-func (s *QueryScope) SimTime() time.Duration { return s.base.SimTime() }
 
 // TotalMemory returns the shared cache budget.
 func (s *QueryScope) TotalMemory() int64 { return s.base.TotalMemory() }
@@ -121,26 +70,8 @@ func (s *QueryScope) TotalMemory() int64 { return s.base.TotalMemory() }
 // Pool returns the shared prepared-dataset pool.
 func (s *QueryScope) Pool() *DataPool { return s.base.Pool() }
 
-// engineCounters are the counter names the concrete backends book on their
-// own registry inside the execution methods (see e.g. NativeBackend.RunStage
-// and ChargeShuffle): a scope's copies of these are double-booked per-query
-// views of work the substrate already accounted for.
-var engineCounters = map[string]bool{
-	metrics.CtrTasks:          true,
-	metrics.CtrStages:         true,
-	metrics.CtrShuffleBytes:   true,
-	metrics.CtrShuffleRecords: true,
-	metrics.CtrBroadcastBytes: true,
-	metrics.CtrSpillBytes:     true,
-	metrics.CtrSpillReads:     true,
-}
-
-// Finish folds the scope's operator-level metrics — phase durations and the
-// counters only operators book (candidates, scaling loops, emitted pairs,
-// …) — into the shared backend's lifetime registry, so substrate-lifetime
-// snapshots see the mining work of every query, not just the engine-level
-// charges the backends book themselves. Call once when the query completes;
-// engine-booked counters are excluded to avoid double counting.
+// Finish returns the query's arena borrows — fork columns and scratch
+// structures — to the shared backend. Call once when the query completes.
 func (s *QueryScope) Finish() {
 	s.borrowMu.Lock()
 	cols := s.borrowed
@@ -154,34 +85,12 @@ func (s *QueryScope) Finish() {
 	for _, sc := range scr {
 		s.base.arena().putScratch(sc)
 	}
-	base := s.base.Reg()
-	for k, v := range s.reg.Counters() {
-		if !engineCounters[k] {
-			base.Add(k, v)
-		}
-	}
-	for k, v := range s.reg.Phases() {
-		base.AddPhase(k, v)
-	}
-	for k, v := range s.reg.SimPhases() {
-		base.AddSimPhase(k, v)
-	}
 }
 
 // Close is a no-op: the scope's owner does not own the backend.
 func (s *QueryScope) Close() error { return nil }
 
 func (s *QueryScope) spillPath(name string) (string, error) { return s.base.spillPath(name) }
-
-func (s *QueryScope) chargeSpill(bytes int64) {
-	s.reg.Add(metrics.CtrSpillBytes, bytes)
-	s.base.chargeSpill(bytes)
-}
-
-func (s *QueryScope) chargeSpillRead(bytes int64) {
-	s.reg.Add(metrics.CtrSpillReads, bytes)
-	s.base.chargeSpillRead(bytes)
-}
 
 func (s *QueryScope) accountsBytes() bool { return s.base.accountsBytes() }
 

@@ -29,7 +29,7 @@ type Table[V any] interface {
 // would cluster into a few probe chains.
 //
 // recordBytes is the serialized size of one (key, value) slot for backends
-// that price byte volume; every input entry is charged once, as on the map
+// that price byte volume; every input entry is recorded once, as on the map
 // path.
 func ShuffleTables[T Table[V], V any](b Backend, in *PColl[T], name string, dst []T, recordBytes int) *PColl[T] {
 	outParts := uint64(len(dst))
@@ -55,6 +55,6 @@ func ShuffleTables[T Table[V], V any](b Backend, in *PColl[T], name string, dst 
 	if b.accountsBytes() {
 		bytes = records * int64(recordBytes)
 	}
-	b.ChargeShuffle(bytes, records)
+	recordShuffle(b, bytes, records)
 	return NewPColl(dst)
 }

@@ -154,6 +154,45 @@ func TestSelectedExperimentsRun(t *testing.T) {
 	}
 }
 
+// TestSimulatedShapes keeps a priced simulation in -short runs: fig-5.2's
+// Hive profile pays job startup and disk-materialized shuffles, and fig-4.3's
+// scarce-memory run spills and reloads cache blocks, so between them every
+// count the simulated clock prices is exercised (jobs, shuffles to disk,
+// broadcasts, disk reads, spills and reloads).
+func TestSimulatedShapes(t *testing.T) {
+	cfg := quickCfg()
+	cell := func(tab *Table, row, col int) float64 {
+		t.Helper()
+		f, err := strconv.ParseFloat(strings.TrimSuffix(tab.Rows[row][col], "x"), 64)
+		if err != nil {
+			t.Fatalf("%s: bad cell %q", tab.ID, tab.Rows[row][col])
+		}
+		return f
+	}
+	tabs, err := Run("fig-5.2", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spark, hive := cell(tabs[0], 0, 1), cell(tabs[0], 1, 1)
+	if hive < 2*spark {
+		t.Errorf("fig-5.2: Hive %.3fs is not at least 2x Spark %.3fs", hive, spark)
+	}
+	if tabs, err = Run("fig-4.3", cfg); err != nil {
+		t.Fatal(err)
+	}
+	const spillCol, reloadCol, timeCol = 2, 3, 4
+	plenty, scarce := 0, 1
+	if got := cell(tabs[0], plenty, spillCol); got != 0 {
+		t.Errorf("fig-4.3: plentiful memory spilled %.2f MB", got)
+	}
+	if cell(tabs[0], scarce, spillCol) <= 0 || cell(tabs[0], scarce, reloadCol) <= 0 {
+		t.Errorf("fig-4.3: scarce memory did not spill and reload: %v", tabs[0].Rows[scarce])
+	}
+	if fast, slow := cell(tabs[0], plenty, timeCol), cell(tabs[0], scarce, timeCol); slow <= 5*fast {
+		t.Errorf("fig-4.3: scarce run %.3fs is not more than 5x the plentiful %.3fs", slow, fast)
+	}
+}
+
 // TestSpeedupShapes verifies the headline claims at small scale: RCT faster
 // than baseline scaling, and Optimized faster than Baseline end to end.
 func TestSpeedupShapes(t *testing.T) {

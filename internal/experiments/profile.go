@@ -69,7 +69,7 @@ type session struct {
 func (c Config) newSession(ds *dataset.Dataset, sampleSize int) (*session, error) {
 	cl := c.cluster(c.Executors, c.Cores, 0)
 	wall := time.Now()
-	sim0 := cl.SimTime()
+	sim0 := engine.SimTime(cl)
 	prep, err := miner.Prepare(cl, ds, miner.PrepOptions{
 		SampleSize:     sampleSize,
 		Seed:           c.Seed,
@@ -83,7 +83,7 @@ func (c Config) newSession(ds *dataset.Dataset, sampleSize int) (*session, error
 	if c.Backend == "native" {
 		s.prepTime = time.Since(wall)
 	} else {
-		s.prepTime = cl.SimTime() - sim0
+		s.prepTime = engine.SimTime(cl) - sim0
 	}
 	return s, nil
 }
@@ -231,7 +231,7 @@ func fig32(cfg Config) ([]*Table, error) {
 }
 
 // memoryRun mines Income under a given executor memory budget and returns
-// the run plus the residency series sampled from the cache.
+// the run plus the backend, whose registry holds the spill and reload counts.
 func memoryRun(cfg Config, memPerExec int64, fraction float64) (*miner.Result, engine.Backend, error) {
 	ds, err := cfg.data("income", incomeRows)
 	if err != nil {

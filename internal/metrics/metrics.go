@@ -1,8 +1,9 @@
-// Package metrics provides the counters, phase timers and time-series
-// trackers used to instrument SIRUM. The thesis' profiling study (Chapter 3)
-// breaks runtime into rule-generation sub-steps and iterative scaling, counts
-// emitted ancestor pairs (Figure 5.8) and samples memory residency over time
-// (Figures 4.3/4.4); this package supplies those instruments.
+// Package metrics provides the counters and phase timers used to instrument
+// SIRUM. The thesis' profiling study (Chapter 3) breaks runtime into
+// rule-generation sub-steps and iterative scaling and counts emitted ancestor
+// pairs (Figure 5.8); this package supplies those instruments. Operators
+// record the work they do here, and the simulated backend prices the same
+// counts into cluster time.
 package metrics
 
 import (
@@ -21,6 +22,8 @@ const (
 	CtrBroadcastBytes = "broadcast_bytes"  // bytes replicated to every executor
 	CtrSpillBytes     = "spill_bytes"      // bytes written to disk by the cache
 	CtrSpillReads     = "spill_read_bytes" // bytes re-read from spilled partitions
+	CtrDiskReadBytes  = "disk_read_bytes"  // bytes loaded from storage into the cache
+	CtrJobs           = "jobs"             // map-reduce job boundaries (one per cube round)
 	CtrScanRows       = "scan_rows"        // dataset rows scanned
 	CtrLCAComparisons = "lca_comparisons"  // attribute comparisons during LCA computation
 	CtrCandidates     = "candidates"       // distinct candidate rules evaluated
@@ -44,9 +47,13 @@ const (
 )
 
 // Registry is a thread-safe bundle of named counters and phase durations.
-// The zero value is not usable; call NewRegistry.
+// A registry made by Child forwards every Add, AddPhase and AddSimPhase to
+// its parent as well, so a per-query registry and the lifetime registry above
+// it each see every recording exactly once, as it happens. The zero value is
+// not usable; call NewRegistry.
 type Registry struct {
 	mu       sync.Mutex
+	parent   *Registry
 	counters map[string]int64
 	phases   map[string]time.Duration
 	sim      map[string]time.Duration // simulated-cluster-time phase durations
@@ -61,11 +68,20 @@ func NewRegistry() *Registry {
 	}
 }
 
-// Add increments counter name by delta.
+// Child returns an empty registry whose recordings also land in r.
+func (r *Registry) Child() *Registry {
+	c := NewRegistry()
+	c.parent = r
+	return c
+}
+
+// Add increments counter name by delta here and in every ancestor.
 func (r *Registry) Add(name string, delta int64) {
-	r.mu.Lock()
-	r.counters[name] += delta
-	r.mu.Unlock()
+	for ; r != nil; r = r.parent {
+		r.mu.Lock()
+		r.counters[name] += delta
+		r.mu.Unlock()
+	}
 }
 
 // Counter returns the current value of a counter (0 if never written).
@@ -75,18 +91,24 @@ func (r *Registry) Counter(name string) int64 {
 	return r.counters[name]
 }
 
-// AddPhase adds wall-clock duration d to the named phase.
+// AddPhase adds wall-clock duration d to the named phase here and in every
+// ancestor.
 func (r *Registry) AddPhase(name string, d time.Duration) {
-	r.mu.Lock()
-	r.phases[name] += d
-	r.mu.Unlock()
+	for ; r != nil; r = r.parent {
+		r.mu.Lock()
+		r.phases[name] += d
+		r.mu.Unlock()
+	}
 }
 
-// AddSimPhase adds simulated-cluster duration d to the named phase.
+// AddSimPhase adds simulated-cluster duration d to the named phase here and
+// in every ancestor.
 func (r *Registry) AddSimPhase(name string, d time.Duration) {
-	r.mu.Lock()
-	r.sim[name] += d
-	r.mu.Unlock()
+	for ; r != nil; r = r.parent {
+		r.mu.Lock()
+		r.sim[name] += d
+		r.mu.Unlock()
+	}
 }
 
 // Phase returns the accumulated wall-clock duration of a phase.
@@ -180,37 +202,21 @@ func (r *Registry) Snapshot() Snapshot {
 	return s
 }
 
-// Merge adds every counter and phase of o into r.
+// Merge adds every counter and phase of o into r (and r's ancestors).
 func (r *Registry) Merge(o *Registry) {
-	o.mu.Lock()
-	counters := make(map[string]int64, len(o.counters))
-	for k, v := range o.counters {
-		counters[k] = v
+	snap := o.Snapshot()
+	for k, v := range snap.Counters {
+		r.Add(k, v)
 	}
-	phases := make(map[string]time.Duration, len(o.phases))
-	for k, v := range o.phases {
-		phases[k] = v
+	for k, v := range snap.Phases {
+		r.AddPhase(k, v)
 	}
-	sim := make(map[string]time.Duration, len(o.sim))
-	for k, v := range o.sim {
-		sim[k] = v
-	}
-	o.mu.Unlock()
-
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for k, v := range counters {
-		r.counters[k] += v
-	}
-	for k, v := range phases {
-		r.phases[k] += v
-	}
-	for k, v := range sim {
-		r.sim[k] += v
+	for k, v := range snap.SimPhases {
+		r.AddSimPhase(k, v)
 	}
 }
 
-// Reset clears all counters and phases.
+// Reset clears all counters and phases of r; ancestors keep theirs.
 func (r *Registry) Reset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -241,60 +247,4 @@ func (r *Registry) String() string {
 		fmt.Fprintf(&sb, "%s=%s ", k, r.phases[k])
 	}
 	return strings.TrimSpace(sb.String())
-}
-
-// Point is one sample of a time series.
-type Point struct {
-	T time.Duration // elapsed (wall or simulated) time since series start
-	V float64
-}
-
-// Series records a value over time, e.g. cache-resident bytes (Figure 4.3).
-type Series struct {
-	mu     sync.Mutex
-	name   string
-	points []Point
-}
-
-// NewSeries returns an empty named series.
-func NewSeries(name string) *Series { return &Series{name: name} }
-
-// Name returns the series name.
-func (s *Series) Name() string { return s.name }
-
-// Record appends a sample.
-func (s *Series) Record(t time.Duration, v float64) {
-	s.mu.Lock()
-	s.points = append(s.points, Point{T: t, V: v})
-	s.mu.Unlock()
-}
-
-// Points returns a copy of the samples in insertion order.
-func (s *Series) Points() []Point {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]Point(nil), s.points...)
-}
-
-// Max returns the maximum recorded value (0 for an empty series).
-func (s *Series) Max() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var m float64
-	for _, p := range s.points {
-		if p.V > m {
-			m = p.V
-		}
-	}
-	return m
-}
-
-// Last returns the most recent value (0 for an empty series).
-func (s *Series) Last() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.points) == 0 {
-		return 0
-	}
-	return s.points[len(s.points)-1].V
 }

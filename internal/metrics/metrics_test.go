@@ -125,25 +125,45 @@ func TestConcurrentAccess(t *testing.T) {
 	}
 }
 
-func TestSeries(t *testing.T) {
-	s := NewSeries("mem")
-	if s.Name() != "mem" {
-		t.Errorf("Name = %q", s.Name())
+// TestChildForwardsToParent pins the per-query registry contract: every
+// recording on a child lands once in the child and once in its parent, live,
+// also when many children record concurrently.
+func TestChildForwardsToParent(t *testing.T) {
+	parent := NewRegistry()
+	children := make([]*Registry, 8)
+	var wg sync.WaitGroup
+	for i := range children {
+		children[i] = parent.Child()
+		wg.Add(1)
+		go func(c *Registry) {
+			defer wg.Done()
+			for j := 0; j < 100; j++ {
+				c.Add("n", 1)
+				c.AddPhase("p", time.Nanosecond)
+				c.AddSimPhase("s", time.Microsecond)
+			}
+		}(children[i])
 	}
-	if s.Max() != 0 || s.Last() != 0 || len(s.Points()) != 0 {
-		t.Error("empty series not zero")
+	wg.Wait()
+	for i, c := range children {
+		if c.Counter("n") != 100 || c.Phase("p") != 100*time.Nanosecond || c.SimPhase("s") != 100*time.Microsecond {
+			t.Errorf("child %d = %s / %v", i, c, c.SimPhases())
+		}
 	}
-	s.Record(time.Second, 100)
-	s.Record(2*time.Second, 300)
-	s.Record(3*time.Second, 50)
-	pts := s.Points()
-	if len(pts) != 3 || pts[1].V != 300 || pts[1].T != 2*time.Second {
-		t.Errorf("Points = %v", pts)
+	if got := parent.Counter("n"); got != 800 {
+		t.Errorf("parent n = %d, want 800", got)
 	}
-	if s.Max() != 300 {
-		t.Errorf("Max = %v, want 300", s.Max())
+	if got := parent.Phase("p"); got != 800*time.Nanosecond {
+		t.Errorf("parent p = %v, want 800ns", got)
 	}
-	if s.Last() != 50 {
-		t.Errorf("Last = %v, want 50", s.Last())
+	if got := parent.SimPhase("s"); got != 800*time.Microsecond {
+		t.Errorf("parent s = %v, want 800µs", got)
+	}
+	children[0].Reset()
+	if parent.Counter("n") != 800 {
+		t.Error("resetting a child cleared its parent")
+	}
+	if parent.Child().Counter("n") != 0 {
+		t.Error("a new child starts with its parent's counts")
 	}
 }

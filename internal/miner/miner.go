@@ -39,9 +39,9 @@ func New(c engine.Backend, ds *dataset.Dataset, opt Options) *Miner {
 // cross-iteration LCA reuse).
 func (m *Miner) Run() (*Result, error) {
 	qc := engine.NewQueryScope(m.c)
-	defer qc.Finish() // backend lifetime totals include this run's operator metrics
+	defer qc.Finish() // returns the query's arena borrows
 	wallStart := time.Now()
-	simStart := qc.SimTime()
+	simStart := engine.SimTime(qc)
 	p, err := prepare(m.c, m.ds, PrepOptions{
 		SampleSize:     m.opt.SampleSize,
 		Seed:           m.opt.Seed,
@@ -56,13 +56,13 @@ func (m *Miner) Run() (*Result, error) {
 	return p.mineScoped(qc, m.opt, wallStart, simStart)
 }
 
-// timedOn charges f's wall and simulated durations on c to the named phase.
+// timedOn records f's wall and simulated durations on c under the named phase.
 func timedOn(c engine.Backend, phase string, f func() error) error {
 	wallStart := time.Now()
-	simStart := c.SimTime()
+	simStart := engine.SimTime(c)
 	err := f()
 	c.Reg().AddPhase(phase, time.Since(wallStart))
-	c.Reg().AddSimPhase(phase, c.SimTime()-simStart)
+	c.Reg().AddSimPhase(phase, engine.SimTime(c)-simStart)
 	return err
 }
 
@@ -223,7 +223,7 @@ func (p *Prep) mineScoped(qc engine.Backend, opt Options, wallStart time.Time, s
 		res.KL = kl
 	}
 	res.WallTime = time.Since(wallStart)
-	res.SimTime = qc.SimTime() - simStart
+	res.SimTime = engine.SimTime(qc) - simStart
 
 	// Information gain of the final estimates (Section 5.1).
 	ig, err := q.informationGain()
@@ -305,7 +305,7 @@ func newQuery(p *Prep, qc engine.Backend, opt Options) (*query, error) {
 func (q *query) endRuleGen(candidates int64, wallStart time.Time, simStart time.Duration) {
 	q.c.Reg().Add(metrics.CtrCandidates, candidates)
 	q.c.Reg().AddPhase(metrics.PhaseRuleGen, time.Since(wallStart))
-	q.c.Reg().AddSimPhase(metrics.PhaseRuleGen, q.c.SimTime()-simStart)
+	q.c.Reg().AddSimPhase(metrics.PhaseRuleGen, engine.SimTime(q.c)-simStart)
 }
 
 // selectRules picks up to l rules from one round's pool — the top candidates

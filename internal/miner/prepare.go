@@ -203,12 +203,11 @@ func (p *Prep) Options() PrepOptions { return p.opt }
 // Mine runs one query against the prepared state on a fresh metrics scope.
 // It is safe to call concurrently.
 func (p *Prep) Mine(opt Options) (*Result, error) {
+	// The scope's registry forwards every count to the substrate's lifetime
+	// registry as it is recorded, so session stats see every query.
 	qc := engine.NewQueryScope(p.c)
-	// The query's operator metrics fold into the substrate's lifetime
-	// registry (even on error — the work happened), so session stats see
-	// every query.
 	defer qc.Finish()
-	return p.mineScoped(qc, opt.withDefaults(), time.Now(), qc.SimTime())
+	return p.mineScoped(qc, opt.withDefaults(), time.Now(), engine.SimTime(qc))
 }
 
 // Drop releases the pooled blocks and every candidate space's memo and
@@ -237,7 +236,7 @@ func (p *Prep) ensureData(qc engine.Backend) (*engine.CachedData, func(), error)
 	}
 	blocks := engine.BlocksFromColumns(p.ds.Dims, p.work, nil, p.parts)
 	// Initial read from the distributed file system.
-	qc.ChargeDiskRead(p.dataBytes)
+	qc.Reg().Add(metrics.CtrDiskReadBytes, p.dataBytes)
 	data, err := engine.CacheTuples(p.c, blocks)
 	if err != nil {
 		return nil, nil, err

@@ -57,7 +57,7 @@ func (sr *stringRounds) round(l int) ([]pick, int64, error) {
 func (sr *stringRounds) generate() (*engine.PColl[map[string]cube.Agg], int64, error) {
 	q := sr.q
 	wallStart := time.Now()
-	simStart := q.c.SimTime()
+	simStart := engine.SimTime(q.c)
 	var lcas *engine.PColl[map[string]cube.Agg]
 	err := q.timed(metrics.PhaseCandPruning, func() (err error) {
 		switch {
@@ -68,7 +68,8 @@ func (sr *stringRounds) generate() (*engine.PColl[map[string]cube.Agg], int64, e
 			lcas, err = memoStringParts(sr.memo, q.c, q.data)
 		case q.sample != nil:
 			if q.opt.useShuffleJoin() {
-				q.c.Repartition(q.p.dataBytes, 0)
+				// Naive SIRUM repartitions D to co-partition the join.
+				q.c.Reg().Add(metrics.CtrShuffleBytes, q.p.dataBytes)
 			}
 			lcas, err = candgen.LCAParts(q.c, q.data, q.sample, q.opt.useIndex(), q.index)
 		default:

@@ -63,7 +63,7 @@ func (tr *tableRounds) markSelected(r rule.Rule) error {
 func (tr *tableRounds) round(l int) ([]pick, int64, error) {
 	q := tr.q
 	wallStart := time.Now()
-	simStart := q.c.SimTime()
+	simStart := engine.SimTime(q.c)
 	lcas, err := tr.leaves()
 	if err != nil {
 		return nil, 0, err
@@ -125,7 +125,8 @@ func (tr *tableRounds) leaves() (*engine.PColl[*cube.PackedTable], error) {
 			lcas, err = memoTableParts(tr.memo, q.c, q.data)
 		case q.sample != nil:
 			if q.opt.useShuffleJoin() {
-				q.c.Repartition(q.p.dataBytes, 0)
+				// Naive SIRUM repartitions D to co-partition the join.
+				q.c.Reg().Add(metrics.CtrShuffleBytes, q.p.dataBytes)
 			}
 			lcas, err = tr.pc.LCATables(q.c, q.data, q.sample, q.opt.useIndex(), q.index)
 		default:

@@ -17,7 +17,7 @@ import (
 // There is one loop (maxent.Scale) and one RCT (maxent.BuildRCT); the two
 // implementations are front ends that differ only in how they scan —
 // engine blocks through CachedData.Scan here, dataset rows in maxent. Each
-// charges the simulated cluster for its joins and shuffles and counts
+// records its joins and shuffles on the registry and counts
 // scaling_loops once per evaluation pass.
 type distScaler interface {
 	// AddRules appends the rules (jointly, as one multi-rule iteration) and
@@ -47,13 +47,14 @@ func (s *scalerBase) Rules() []rule.Rule { return s.rules }
 
 func (s *scalerBase) Lambdas() []float64 { return s.lambda }
 
-// chargeJoin models the join of a small relation (the sample, the rule list)
-// with D: Naive SIRUM repartitions D, BJ SIRUM broadcasts the small side.
-func (s *scalerBase) chargeJoin(smallBytes int64) {
+// recordJoin records the join of a small relation (the sample, the rule
+// list) with D: Naive SIRUM repartitions D (a shuffle), BJ SIRUM broadcasts
+// the small side.
+func (s *scalerBase) recordJoin(smallBytes int64) {
 	if s.shuffle {
-		s.c.Repartition(s.dataBytes, 0)
+		s.c.Reg().Add(metrics.CtrShuffleBytes, s.dataBytes)
 	} else {
-		s.c.Broadcast(smallBytes)
+		s.c.Reg().Add(metrics.CtrBroadcastBytes, smallBytes)
 	}
 }
 
@@ -68,14 +69,14 @@ func (s *scalerBase) ruleListBytes() int64 {
 // targetSums are one block's partial sums of m and |S_D(r)| per new rule.
 type targetSums []struct{ m, count float64 }
 
-// scanTargets charges the join of the new rules with D and runs one scan
+// scanTargets records the join of the new rules with D and runs one scan
 // named stage that tallies each new rule's target. If row is set, it is
 // called per tuple with the indices of the new rules covering it. The rules
 // are appended once their targets add up in block order; empty supports
 // are rejected.
 func (s *scalerBase) scanTargets(stage string, rs []rule.Rule, mutate bool,
 	row func(bi int, b *engine.TupleBlock, i int, covered []int)) error {
-	s.chargeJoin(int64(len(rs)) * int64(len(rs[0])) * 4)
+	s.recordJoin(int64(len(rs)) * int64(len(rs[0])) * 4)
 	perBlock := make([]targetSums, s.data.NumBlocks())
 	err := s.data.Scan(stage, mutate, func(bi int, b *engine.TupleBlock) {
 		local := make(targetSums, len(rs))
@@ -161,7 +162,7 @@ func (s *naiveDistScaler) AddRules(rs []rule.Rule) error {
 		func(dst []float64) error {
 			// Lines 3–6 of Algorithm 1, distributed: per-block partial sums
 			// of the estimates covered by each rule, added in block order.
-			s.chargeJoin(s.ruleListBytes())
+			s.recordJoin(s.ruleListBytes())
 			partial := make([][]float64, s.data.NumBlocks())
 			err := s.data.Scan("scaling/sums", false, func(bi int, b *engine.TupleBlock) {
 				local := make([]float64, len(s.rules))
@@ -253,7 +254,8 @@ func (s *rctDistScaler) AddRules(rs []rule.Rule) error {
 	// Merge the fragments on the driver (the RCT is small: at most 2^|R|
 	// rows, in practice far fewer — Section 4.1).
 	rct := maxent.BuildRCT(s.words, s.frags[:s.data.NumBlocks()]...)
-	s.c.ChargeShuffle(int64(rct.Len()*(8*s.words+16)), int64(rct.Len()))
+	s.c.Reg().Add(metrics.CtrShuffleBytes, int64(rct.Len()*(8*s.words+16)))
+	s.c.Reg().Add(metrics.CtrShuffleRecords, int64(rct.Len()))
 	_, err = maxent.Scale(s.targets, s.counts, s.lambda, s.epsilon, s.maxLoops,
 		func(dst []float64) error {
 			rct.Sums(dst)
@@ -266,7 +268,7 @@ func (s *rctDistScaler) AddRules(rs []rule.Rule) error {
 	}
 	// Write-back pass (lines 23–25): each tuple takes its row's product of
 	// multipliers.
-	s.chargeJoin(int64(len(s.lambda)) * 8)
+	s.recordJoin(int64(len(s.lambda)) * 8)
 	est := rct.Products(s.lambda)
 	return s.data.Scan("scaling/writeback", true, func(bi int, b *engine.TupleBlock) {
 		s.frags[bi].WriteBack(est, b.Mhat)

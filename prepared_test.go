@@ -346,7 +346,8 @@ func TestPreparedQueryMetricsAndStats(t *testing.T) {
 		t.Error("stats lifetime counters empty after a query")
 	}
 	// Lifetime totals must include the operator-level work of finished
-	// queries (folded in by QueryScope.Finish), not just engine charges.
+	// queries (each query's registry forwards to the backend's), not just
+	// stage counts.
 	if st.Lifetime.Counters["candidates"] == 0 {
 		t.Errorf("stats lifetime missing mining counters: %v", st.Lifetime.Counters)
 	}
