@@ -70,6 +70,19 @@ func TestAnswersPinnedToTheBit(t *testing.T) {
 	}
 	pin("explore kl", ex.Result.KL)
 
+	// The same own-sample query (|s|=16 seed 2 against the prepared |s|=64
+	// seed 1) through the RCT scaler and multi-rule selection.
+	for _, v := range []Variant{VariantRCT, VariantMultiRule} {
+		res, err := p.Mine(Options{K: 5, SampleSize: 16, Seed: 2, Variant: v})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pin(string(v)+" kl", res.KL)
+		for i, r := range res.Rules {
+			pin(fmt.Sprintf("%s gain[%d]", v, i), r.Gain)
+		}
+	}
+
 	want := []uint64{
 		0x3fe8888c2f2d3e49, // fit kl
 		0x3fe8a213850c70cb, // optimized kl
@@ -85,6 +98,18 @@ func TestAnswersPinnedToTheBit(t *testing.T) {
 		0x40538e4df252859c, // baseline gain[3]
 		0x40432cf134d17d73, // baseline gain[4]
 		0x3fe8137273dd8215, // explore kl
+		0x3fe8a213850c70cb, // rct kl
+		0x406cf111102c7f09, // rct gain[0]
+		0x40617ff606bc35f9, // rct gain[1]
+		0x4059707f517bb2b1, // rct gain[2]
+		0x40538e4df25285ae, // rct gain[3]
+		0x40432cf134d17d51, // rct gain[4]
+		0x3fe8a213850c70ce, // multirule kl
+		0x406cf111102c7f09, // multirule gain[0]
+		0x40617ff606bc35ec, // multirule gain[1]
+		0x4059707f517bb294, // multirule gain[2]
+		0x40538e4df252859c, // multirule gain[3]
+		0x40432cf134d17d73, // multirule gain[4]
 	}
 	if !slices.Equal(got, want) {
 		t.Errorf("answers moved from the %d pinned values; got:", len(want))

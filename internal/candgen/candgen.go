@@ -130,22 +130,26 @@ func (c StringCodec) DecodeRule(key string, dst rule.Rule) (rule.Rule, error) {
 	return rule.DecodeKey(key, c.D, dst)
 }
 
-// ForEachLeafKey enumerates every (leaf key, block row) incidence of a block
-// in ascending row order: the tuple's own instance per row when s is nil,
-// else the |s| LCA instances per row (ix must index s). The miner's LCA memo
-// builds on this. The string path pays one key allocation per incidence;
-// only the once-per-session memo build uses it.
-func (c StringCodec) ForEachLeafKey(b *engine.TupleBlock, s *Sample, ix *InvertedIndex, emit func(string, int)) {
+// ForEachLeafKey enumerates a block's leaf instances row by row, in
+// ascending row order: emit gets each row with its leaf keys — the tuple's
+// own instance when s is nil, else its |s| LCAs in sample order (ix must
+// index s). keys is reused between rows. The miner's LCA memo builds on
+// this. It returns the comparisons the indexed LCA scan counts for the same
+// block (lcaIndexed), 0 when s is nil. The string path pays one key
+// allocation per leaf; only the once-per-space memo build uses it.
+func (c StringCodec) ForEachLeafKey(b *engine.TupleBlock, s *Sample, ix *InvertedIndex, emit func(row int, keys []string)) int64 {
 	d := c.D
 	if s == nil {
 		key := make(rule.Rule, d)
+		keys := make([]string, 1)
 		for i := 0; i < b.NumRows(); i++ {
 			for j := 0; j < d; j++ {
 				key[j] = b.Dims[j][i]
 			}
-			emit(key.Key(), i)
+			keys[0] = key.Key()
+			emit(i, keys)
 		}
-		return
+		return 0
 	}
 	ns := s.Size()
 	template := make([]int32, ns*d)
@@ -153,18 +157,24 @@ func (c StringCodec) ForEachLeafKey(b *engine.TupleBlock, s *Sample, ix *Inverte
 		template[i] = rule.Wildcard
 	}
 	buf := make([]int32, ns*d)
+	keys := make([]string, ns)
+	var ops int64
 	for i := 0; i < b.NumRows(); i++ {
 		copy(buf, template)
 		for j := 0; j < d; j++ {
 			v := b.Dims[j][i]
-			for _, si := range ix.Posting(j, v) {
+			post := ix.Posting(j, v)
+			ops += 1 + int64(len(post))
+			for _, si := range post {
 				buf[int(si)*d+j] = v
 			}
 		}
-		for si := 0; si < ns; si++ {
-			emit(rule.Rule(buf[si*d:(si+1)*d]).Key(), i)
+		for si := range keys {
+			keys[si] = rule.Rule(buf[si*d : (si+1)*d]).Key()
 		}
+		emit(i, keys)
 	}
+	return ops
 }
 
 // PackedCodec is the key representation of the table pipeline: single-word
@@ -183,36 +193,42 @@ func (c PackedCodec) DecodeRule(key uint64, dst rule.Rule) (rule.Rule, error) {
 }
 
 // ForEachLeafKey is StringCodec.ForEachLeafKey in packed keys; allocation-free.
-func (c PackedCodec) ForEachLeafKey(b *engine.TupleBlock, s *Sample, ix *InvertedIndex, emit func(uint64, int)) {
+// The packed per-round scans (ExhaustiveTables, indexed LCATables) add its
+// leaves into tables, so a memo build and one LCA pass see the same keys and
+// count the same comparisons.
+func (c PackedCodec) ForEachLeafKey(b *engine.TupleBlock, s *Sample, ix *InvertedIndex, emit func(row int, keys []uint64)) int64 {
 	p := c.P
 	d := len(b.Dims)
 	if s == nil {
 		codes := make(rule.Rule, d)
+		keys := make([]uint64, 1)
 		for i := 0; i < b.NumRows(); i++ {
 			for j := 0; j < d; j++ {
 				codes[j] = b.Dims[j][i]
 			}
-			emit(p.PackCodes(codes), i)
+			keys[0] = p.PackCodes(codes)
+			emit(i, keys)
 		}
-		return
+		return 0
 	}
-	ns := s.Size()
 	wild := p.AllWildcards()
-	buf := make([]uint64, ns)
+	keys := make([]uint64, s.Size())
+	var ops int64
 	for i := 0; i < b.NumRows(); i++ {
-		for si := range buf {
-			buf[si] = wild
+		for si := range keys {
+			keys[si] = wild
 		}
 		for j := 0; j < d; j++ {
 			v := b.Dims[j][i]
-			for _, si := range ix.Posting(j, v) {
-				buf[si] = p.Set(buf[si], j, v)
+			post := ix.Posting(j, v)
+			ops += 1 + int64(len(post))
+			for _, si := range post {
+				keys[si] = p.Set(keys[si], j, v)
 			}
 		}
-		for si := 0; si < ns; si++ {
-			emit(buf[si], i)
-		}
+		emit(i, keys)
 	}
+	return ops
 }
 
 // LCAParts computes the locally combined LCA aggregates LCA(s, D): for every

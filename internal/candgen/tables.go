@@ -21,18 +21,10 @@ import (
 // ExhaustiveTables is ExhaustiveParts into borrowed tables: every data tuple
 // becomes a full-constant rule instance.
 func (c PackedCodec) ExhaustiveTables(b engine.Backend, data *engine.CachedData) (*engine.PColl[*cube.PackedTable], error) {
-	p := c.P
 	out := make([]*cube.PackedTable, data.NumBlocks())
 	err := data.Scan("candgen/exhaustive", false, func(bi int, blk *engine.TupleBlock) {
 		local := cube.BorrowTable(b, blk.NumRows())
-		d := len(blk.Dims)
-		codes := make(rule.Rule, d)
-		for i := 0; i < blk.NumRows(); i++ {
-			for j := 0; j < d; j++ {
-				codes[j] = blk.Dims[j][i]
-			}
-			local.Add(p.PackCodes(codes), cube.Agg{SumM: blk.M[i], SumMhat: blk.Mhat[i], Count: 1})
-		}
+		c.ForEachLeafKey(blk, nil, nil, leafAdder(blk, local))
 		out[bi] = local
 	})
 	if err != nil {
@@ -61,7 +53,7 @@ func (c PackedCodec) LCATables(b engine.Backend, data *engine.CachedData, s *Sam
 	err := data.Scan("candgen/lca", false, func(bi int, blk *engine.TupleBlock) {
 		local := cube.BorrowTable(b, blk.NumRows())
 		if indexed {
-			comparisons[bi] = lcaIndexedTable(blk, s, ix, p, local)
+			comparisons[bi] = c.ForEachLeafKey(blk, s, ix, leafAdder(blk, local))
 		} else {
 			comparisons[bi] = lcaNaiveTable(blk, s, p, local)
 		}
@@ -99,30 +91,15 @@ func lcaNaiveTable(b *engine.TupleBlock, s *Sample, p *rule.Packer, local *cube.
 	return comps
 }
 
-func lcaIndexedTable(b *engine.TupleBlock, s *Sample, ix *InvertedIndex, p *rule.Packer, local *cube.PackedTable) int64 {
-	d := len(b.Dims)
-	ns := s.Size()
-	wild := p.AllWildcards()
-	buf := make([]uint64, ns)
-	var ops int64
-	for i := 0; i < b.NumRows(); i++ {
-		for si := range buf {
-			buf[si] = wild
-		}
-		for j := 0; j < d; j++ {
-			v := b.Dims[j][i]
-			ops++ // one index lookup per attribute
-			for _, si := range ix.Posting(j, v) {
-				buf[si] = p.Set(buf[si], j, v)
-				ops++
-			}
-		}
-		agg := cube.Agg{SumM: b.M[i], SumMhat: b.Mhat[i], Count: 1}
-		for si := 0; si < ns; si++ {
-			local.Add(buf[si], agg)
+// leafAdder adds each leaf instance ForEachLeafKey enumerates over blk to
+// local, carrying its row's (t[m], t[m̂], 1).
+func leafAdder(blk *engine.TupleBlock, local *cube.PackedTable) func(int, []uint64) {
+	return func(i int, keys []uint64) {
+		agg := cube.Agg{SumM: blk.M[i], SumMhat: blk.Mhat[i], Count: 1}
+		for _, k := range keys {
+			local.Add(k, agg)
 		}
 	}
-	return ops
 }
 
 // matchCount decodes key into buf (returned, possibly regrown) and counts the

@@ -14,10 +14,10 @@ import (
 // candSpace is the build-once state of one candidate space: the leaf memo
 // (lcaMemo) and, on packed schemas, the frozen lattice above it. A Prep
 // holds one per space its queries can share; a table-rounds query with a
-// sample of its own gets a private one, so its rounds 2..K replay what round
-// 1 built. One builder at a time: concurrent first queries wait on mu and
-// then replay. A Prep's schema packs or it does not, so a space only ever
-// fills the fields of one kind of rounds.
+// sample of its own builds a private leaf memo and lattice in its first
+// round; later rounds only gather. One builder at a time: concurrent first
+// queries wait on mu and then replay. A Prep's schema packs or it does not,
+// so a space only ever fills the fields of one kind of rounds.
 type candSpace struct {
 	mu      sync.Mutex
 	strMemo *lcaMemo[string] // string rounds' leaf memo
@@ -50,8 +50,8 @@ type lattice struct {
 	// slots: leafSlots lists the slot of every memo key, block after block
 	// (block bi's keys at leafOff[bi]:leafOff[bi+1]). The memo pointer is kept
 	// beside them because they are only valid for that memo's key order.
-	// Without one (the memo would pass memoMaxEntries, or the sample is the
-	// query's own) leaves arrive as per-round tables and are looked up by key.
+	// Without one (the memo would pass memoMaxEntries) leaves arrive as
+	// per-round tables and are looked up by key.
 	memo      *lcaMemo[uint64]
 	leafSlots []int32
 	leafOff   []int

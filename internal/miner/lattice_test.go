@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"sirum/internal/candgen"
 	"sirum/internal/cube"
 	"sirum/internal/datagen"
 	"sirum/internal/dataset"
@@ -84,8 +85,9 @@ func lowerMemoCap(t *testing.T, entries int) {
 // roundCandidates runs the first rounds of a query's rule generation by hand
 // — a different synthetic estimate column each round, the same on every
 // session it is given — and returns each round's full candidate set. It also
-// reports whether the rounds were lattice replays.
-func roundCandidates(t *testing.T, p *Prep, opt Options, rounds int) ([]map[uint64]cube.Agg, bool) {
+// returns the lattice the rounds replayed, nil when they ran the per-round
+// pipeline.
+func roundCandidates(t *testing.T, p *Prep, opt Options, rounds int) ([]map[uint64]cube.Agg, *lattice) {
 	t.Helper()
 	qc := engine.NewQueryScope(p.c)
 	defer qc.Finish()
@@ -139,7 +141,31 @@ func roundCandidates(t *testing.T, p *Prep, opt Options, rounds int) ([]map[uint
 		}
 		out = append(out, got)
 	}
-	return out, tr.lat != nil
+	return out, tr.lat
+}
+
+// oneLCAPass is the lca_comparisons of one indexed LCA pass (LCATables) over
+// a fresh fork of p with opt's sample: what building that sample's whole
+// leaf memo records.
+func oneLCAPass(t *testing.T, p *Prep, opt Options) int64 {
+	t.Helper()
+	qc := engine.NewQueryScope(p.c)
+	defer qc.Finish()
+	q, err := newQuery(p, qc, opt.withDefaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.data.Drop()
+	ix := q.index
+	if ix == nil {
+		ix = candgen.BuildIndex(q.sample)
+	}
+	lcas, err := candgen.NewPackedCodec(p.packer).LCATables(qc, q.data, q.sample, true, ix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cube.ReleaseTables(qc, lcas)
+	return qc.Reg().Counter(metrics.CtrLCAComparisons)
 }
 
 // aggDiff is |a-b| relative to the larger magnitude once that passes 1.
@@ -153,12 +179,12 @@ func aggDiff(a, b float64) float64 {
 
 // TestLatticeReplayMatchesPipeline holds lattice replay to the paper-faithful
 // per-round pipeline (DisableLCAMemo) over the four equivalence datasets,
-// every way leaves reach a lattice — gathered from the prepared sample's
-// memo, looked up from per-round LCA tables of a sample of the query's own
-// (naive LCAs under RCT and MultiRule, indexed under Optimized), exhaustive —
-// and the three variants sessions run: candidate for candidate (Σm, Σm̂ and
-// count at 1e-9) over a building round and a replaying one, then rule for
-// rule over whole queries.
+// every candidate space a lattice is built over — the prepared sample's,
+// a sample of the query's own (whose private memo is indexed even under RCT
+// and MultiRule, which prune without the index), exhaustive — each gathering
+// its leaves from a memo, and the three variants sessions run: candidate for
+// candidate (Σm, Σm̂ and count at 1e-9) over a building round and a replaying
+// one, then rule for rule over whole queries.
 func TestLatticeReplayMatchesPipeline(t *testing.T) {
 	const sample, seed = 5, 31
 	for _, tc := range equivalenceDatasets() {
@@ -181,13 +207,16 @@ func TestLatticeReplayMatchesPipeline(t *testing.T) {
 					label := fmt.Sprintf("%s/%v", mode.name, v)
 					opt := Options{Variant: v, K: 4, SampleSize: mode.sample, Seed: mode.seed}
 
-					want, replayed := roundCandidates(t, ref, opt, 2)
-					if replayed {
+					want, refLat := roundCandidates(t, ref, opt, 2)
+					if refLat != nil {
 						t.Fatalf("%s: DisableLCAMemo session replayed a lattice", label)
 					}
-					got, replayed := roundCandidates(t, lat, opt, 2)
-					if !replayed {
+					got, gotLat := roundCandidates(t, lat, opt, 2)
+					if gotLat == nil {
 						t.Fatalf("%s: session did not take the lattice path", label)
+					}
+					if gotLat.memo == nil {
+						t.Fatalf("%s: lattice does not gather its leaves from a memo", label)
 					}
 					for r := range want {
 						if len(want[r]) != len(got[r]) {
@@ -256,7 +285,8 @@ func TestLatticeBuilderAndReplayersAnswerIdentically(t *testing.T) {
 // memoMaxEntries. Past it the space keeps the per-round table pipeline —
 // with the leaf memo when that still fits, without it otherwise — remembers
 // the verdict, and mines the same rules; Drop forgets everything and the next
-// query rebuilds.
+// query rebuilds. A query with a sample of its own makes one LCA pass, into
+// its private memo, when that fits the cap, and one pass a round otherwise.
 func TestLatticeBoundedByMemoCap(t *testing.T) {
 	ds := datagen.GDELT(1200, 42)
 	c := testCluster()
@@ -267,11 +297,13 @@ func TestLatticeBoundedByMemoCap(t *testing.T) {
 		{Variant: Optimized, K: 3, SampleSize: 0, Seed: 9},
 		{Variant: Optimized, K: 3, SampleSize: 8, Seed: 4},
 	}
+	own := queries[2]
 	p := mustPrepare(t, c, ds, popt)
 	var want []*Result
 	for _, opt := range queries {
 		want = append(want, mustMine(t, p, opt))
 	}
+	onePass := oneLCAPass(t, p, own)
 	exh := &p.spaces[spaceExhaustive]
 	if exh.lat == nil || p.spaces[spaceSample].lat == nil {
 		t.Fatal("default cap: shared lattices not built")
@@ -301,6 +333,17 @@ func TestLatticeBoundedByMemoCap(t *testing.T) {
 					assertSameRules(t, fmt.Sprintf("query %d", i), want[i], got)
 					if opt.SampleSize == 0 && ranCube(got) != tc.perRound {
 						t.Errorf("exhaustive query ran the per-round cube = %v, want %v", ranCube(got), tc.perRound)
+					}
+					if opt.Seed == own.Seed {
+						passes := int64(got.Iterations)
+						if ds.NumRows()*own.SampleSize <= tc.cap {
+							passes = 1 // the private memo fits
+						} else if passes < 2 {
+							t.Fatalf("own-sample query ran %d rounds; need several to tell one pass from one a round", passes)
+						}
+						if lca := got.Counters[metrics.CtrLCAComparisons]; lca != passes*onePass {
+							t.Errorf("own-sample query: lca_comparisons = %d, want %d passes x %d", lca, passes, onePass)
+						}
 					}
 				}
 			}
@@ -334,50 +377,74 @@ func TestLatticeBoundedByMemoCap(t *testing.T) {
 // still reports its candidate count, and the three rule-generation phases
 // keep their names — all non-zero on rounds that only replay — while the
 // cube's shuffle disappears; and two runs of one spec count exactly alike.
+// Building a leaf memo counts the LCA comparisons of exactly one LCA pass:
+// once per shared space, and once per query, whatever its K, for a sample of
+// the query's own.
 func TestLatticeReplayCountersHonest(t *testing.T) {
 	ds := datagen.Income(1500, 5)
 	c := engine.NewNativeBackend(engine.Config{})
 	defer c.Close()
 	p := mustPrepare(t, c, ds, PrepOptions{SampleSize: 16, Seed: 3})
+	const private = -1 // the space of a sample of the query's own
 	for _, tc := range []struct {
+		name  string
 		opt   Options
 		space int
 	}{
-		{Options{Variant: Optimized, K: 6, SampleSize: 16, Seed: 3}, spaceSample},
-		{Options{Variant: Optimized, K: 3, SampleSize: 0, Seed: 3}, spaceExhaustive},
+		{"prepared sample", Options{Variant: Optimized, K: 6, SampleSize: 16, Seed: 3}, spaceSample},
+		{"exhaustive", Options{Variant: Optimized, K: 3, SampleSize: 0, Seed: 3}, spaceExhaustive},
+		{"own sample k=4", Options{Variant: Optimized, K: 4, SampleSize: 16, Seed: 4}, private},
+		{"own sample k=8", Options{Variant: Optimized, K: 8, SampleSize: 16, Seed: 4}, private},
 	} {
-		mustMine(t, p, tc.opt) // builds
-		a, b := mustMine(t, p, tc.opt), mustMine(t, p, tc.opt)
-		lat := p.spaces[tc.space].lat
-		if lat == nil {
-			t.Fatalf("space %d has no lattice", tc.space)
+		var onePass int64
+		if tc.opt.SampleSize > 0 {
+			onePass = oneLCAPass(t, p, tc.opt)
 		}
+		// A shared space is built by its first query and only replayed by
+		// the two measured below; a private one is built by each of them.
+		var lat *lattice
+		builds := int64(1)
+		if tc.space == private {
+			_, lat = roundCandidates(t, p, tc.opt, 1)
+		} else {
+			if got := mustMine(t, p, tc.opt).Counters[metrics.CtrLCAComparisons]; got != onePass {
+				t.Errorf("%s: the build counts %d LCA comparisons, one pass counts %d", tc.name, got, onePass)
+			}
+			lat, builds = p.spaces[tc.space].lat, 0
+		}
+		if lat == nil || lat.memo == nil {
+			t.Fatalf("%s: no lattice over a leaf memo", tc.name)
+		}
+		a, b := mustMine(t, p, tc.opt), mustMine(t, p, tc.opt)
 		if a.Iterations < 2 {
-			t.Fatalf("space %d: %d iterations; need several replay rounds", tc.space, a.Iterations)
+			t.Fatalf("%s: %d iterations; need several replay rounds", tc.name, a.Iterations)
+		}
+		if got := a.Counters[metrics.CtrLCAComparisons]; got != builds*onePass {
+			t.Errorf("%s: lca_comparisons = %d over %d rounds, want %d builds x %d", tc.name, got, a.Iterations, builds, onePass)
 		}
 		if !reflect.DeepEqual(a.Counters, b.Counters) {
-			t.Errorf("space %d: two replays count differently:\n%v\n%v", tc.space, a.Counters, b.Counters)
+			t.Errorf("%s: two runs count differently:\n%v\n%v", tc.name, a.Counters, b.Counters)
 		}
 		rounds := int64(a.Iterations)
 		if got, want := a.Counters[metrics.CtrPairsEmitted], rounds*int64(lat.NumEdges()); got != want {
-			t.Errorf("space %d: pairs_emitted = %d, want %d rounds x %d edges = %d", tc.space, got, rounds, lat.NumEdges(), want)
+			t.Errorf("%s: pairs_emitted = %d, want %d rounds x %d edges = %d", tc.name, got, rounds, lat.NumEdges(), want)
 		}
 		if got, want := a.Counters[metrics.CtrCandidates], rounds*int64(lat.NumSlots()); got != want {
-			t.Errorf("space %d: candidates = %d, want %d rounds x %d slots = %d", tc.space, got, rounds, lat.NumSlots(), want)
+			t.Errorf("%s: candidates = %d, want %d rounds x %d slots = %d", tc.name, got, rounds, lat.NumSlots(), want)
 		}
 		if a.Candidates != int64(lat.NumSlots()) {
-			t.Errorf("space %d: Result.Candidates = %d, want %d", tc.space, a.Candidates, lat.NumSlots())
+			t.Errorf("%s: Result.Candidates = %d, want %d", tc.name, a.Candidates, lat.NumSlots())
 		}
 		if ranCube(a) {
-			t.Errorf("space %d: replay shuffled %d records for %d candidates", tc.space, a.Counters[metrics.CtrShuffleRecords], a.Counters[metrics.CtrCandidates])
+			t.Errorf("%s: replay shuffled %d records for %d candidates", tc.name, a.Counters[metrics.CtrShuffleRecords], a.Counters[metrics.CtrCandidates])
 		}
 		phases := []string{metrics.PhaseCandPruning, metrics.PhaseAncestorGen}
-		if tc.space == spaceSample {
+		if tc.opt.SampleSize > 0 {
 			phases = append(phases, metrics.PhaseGainComputing) // the match-count division
 		}
 		for _, ph := range phases {
 			if a.Phases[ph] <= 0 {
-				t.Errorf("space %d: phase %s = %v on replay rounds", tc.space, ph, a.Phases[ph])
+				t.Errorf("%s: phase %s = %v on replay rounds", tc.name, ph, a.Phases[ph])
 			}
 		}
 	}

@@ -77,15 +77,17 @@ var prepSeq atomic.Int64
 // gather leaf Σm̂ from their own fork and add along the lattice's edges. The
 // two shared spaces are independent, so a session prepared with a sample
 // still shares the exhaustive lattice between its Explore queries. A query
-// that brings its own sample builds a private lattice in its first round
-// and replays it for the rest. Drop releases both spaces (an Append replaces
-// the Prep, so grown data never sees a stale lattice); nothing is built
-// inside Prepare itself.
+// that brings its own sample builds a private leaf memo and lattice in its
+// first round; later rounds only gather. Drop releases both spaces (an
+// Append replaces the Prep, so grown data never sees a stale lattice);
+// nothing is built inside Prepare itself.
 //
 // A lattice holds about 28 bytes per candidate (key, Σm, count, match
 // count), 8 per edge and 8–16 per candidate of key index, and each in-flight
 // query borrows one 8-byte-per-candidate Σm̂ vector from the backend arena.
-// A space whose lattice would pass memoMaxEntries slots plus edges keeps the
+// A leaf memo holds 4 bytes per (row, sample tuple) incidence; a private one
+// lives as long as its query. A space whose memo would pass memoMaxEntries
+// incidences, or whose lattice would pass it in slots plus edges, keeps the
 // per-round pipeline, as does everything under DisableLCAMemo.
 type Prep struct {
 	c    engine.Backend
@@ -271,16 +273,18 @@ func (p *Prep) memoFits(sample *candgen.Sample) bool {
 	return incidences <= int64(memoMaxEntries)
 }
 
-// leafKeys is a codec's leaf enumeration (ForEachLeafKey): every (leaf key,
-// block row) incidence of a block in ascending row order.
-type leafKeys[K cmp.Ordered] func(b *engine.TupleBlock, s *candgen.Sample, ix *candgen.InvertedIndex, emit func(key K, row int))
+// leafKeys is a codec's leaf enumeration (ForEachLeafKey): a block's rows
+// in ascending order, each with its leaf keys; it returns the LCA
+// comparisons the enumeration made.
+type leafKeys[K cmp.Ordered] func(b *engine.TupleBlock, s *candgen.Sample, ix *candgen.InvertedIndex, emit func(row int, keys []K)) int64
 
-// memoFor returns the LCA memo of the shared space sp in the caller's key
-// representation — slot is sp's field for it — building it from q's fork on
-// first use (one builder at a time; concurrent first queries wait). It is nil
-// when the memo would pass memoMaxEntries. The first query pays the build (it
-// replaces that query's first LCA round, so it is charged as candidate
-// pruning); later queries get it for free.
+// memoFor returns the LCA memo of space sp in the caller's key
+// representation — slot is sp's field for it — building it from q's fork
+// and q's sample on first use (one builder at a time; concurrent first
+// queries of a shared space wait). It is nil when the memo would pass
+// memoMaxEntries. The build replaces the building query's first LCA round,
+// so it is charged as candidate pruning; later rounds, and later queries of
+// a shared space, get it for free.
 func memoFor[K cmp.Ordered](q *query, sp *candSpace, slot **lcaMemo[K], forEachLeaf leafKeys[K]) (*lcaMemo[K], error) {
 	if !q.p.memoFits(q.sample) {
 		return nil, nil
@@ -290,9 +294,11 @@ func memoFor[K cmp.Ordered](q *query, sp *candSpace, slot **lcaMemo[K], forEachL
 		sp.mu.Lock()
 		defer sp.mu.Unlock()
 		if *slot == nil {
-			var ix *candgen.InvertedIndex
-			if q.sample != nil {
-				ix = q.p.indexFor() // a shared space's sample is the prepared one
+			// The memo indexes the query's own sample, whether or not its
+			// variant prunes through the index.
+			ix := q.index
+			if ix == nil && q.sample != nil {
+				ix = candgen.BuildIndex(q.sample)
 			}
 			built, err := buildLCAMemo(q.c, q.data, q.sample, ix, forEachLeaf)
 			if err != nil {
@@ -337,45 +343,68 @@ func (mb *lcaMemoBlock[K]) sumMhat(ki int, mhat []float64) float64 {
 
 // buildLCAMemo scans the data once, producing the same per-block key sets as
 // the pipeline's LCA scan (or exhaustive scan when s is nil) while recording
-// the row incidences. The codec enumerates incidences in ascending row
-// order, matching the summation order of the direct computation, so memoized
-// aggregates are bit-identical to recomputed ones.
+// the row incidences. A block lists its keys in first-seen order, and each
+// key's rows in ascending order — the summation order of the direct
+// computation, so memoized aggregates are bit-identical to recomputed ones.
+// The build records what one indexed LCA pass records: the sample and index
+// broadcast and the comparisons.
 func buildLCAMemo[K cmp.Ordered](c engine.Backend, data *engine.CachedData, s *candgen.Sample, ix *candgen.InvertedIndex, forEachLeaf leafKeys[K]) (*lcaMemo[K], error) {
 	memo := &lcaMemo[K]{blocks: make([]lcaMemoBlock[K], data.NumBlocks())}
+	perRow := 1
+	if s != nil {
+		perRow = s.Size()
+	}
+	comparisons := make([]int64, data.NumBlocks())
 	err := data.Scan("miner/lca-memo", false, func(bi int, b *engine.TupleBlock) {
-		type entry struct {
-			sumM  float64
-			count float64
-			rows  []int32
-		}
-		local := make(map[K]*entry)
-		forEachLeaf(b, s, ix, func(key K, i int) {
-			e, ok := local[key]
-			if !ok {
-				e = &entry{}
-				local[key] = e
+		mb := &memo.blocks[bi]
+		n := b.NumRows()
+		ids := make(map[K]int32, n)
+		inc := make([]int32, 0, n*perRow) // key id per incidence, perRow per row
+		comparisons[bi] = forEachLeaf(b, s, ix, func(row int, keys []K) {
+			m := b.M[row]
+			for _, k := range keys {
+				id, ok := ids[k]
+				if !ok {
+					id = int32(len(mb.keys))
+					ids[k] = id
+					mb.keys = append(mb.keys, k)
+					mb.sumM = append(mb.sumM, 0)
+				}
+				mb.sumM[id] += m
+				inc = append(inc, id)
 			}
-			e.sumM += b.M[i]
-			e.count++
-			e.rows = append(e.rows, int32(i))
 		})
-		mb := lcaMemoBlock[K]{
-			keys:     make([]K, 0, len(local)),
-			sumM:     make([]float64, 0, len(local)),
-			count:    make([]float64, 0, len(local)),
-			rowStart: make([]int32, 1, len(local)+1),
+		// Counting sort of the incidences by key; rows stay ascending.
+		nk := len(mb.keys)
+		mb.rowStart = make([]int32, nk+1)
+		for _, id := range inc {
+			mb.rowStart[id+1]++
 		}
-		for k, e := range local {
-			mb.keys = append(mb.keys, k)
-			mb.sumM = append(mb.sumM, e.sumM)
-			mb.count = append(mb.count, e.count)
-			mb.rows = append(mb.rows, e.rows...)
-			mb.rowStart = append(mb.rowStart, int32(len(mb.rows)))
+		mb.count = make([]float64, nk)
+		for id := range nk {
+			mb.count[id] = float64(mb.rowStart[id+1])
+			mb.rowStart[id+1] += mb.rowStart[id]
 		}
-		memo.blocks[bi] = mb
+		next := make([]int32, nk)
+		copy(next, mb.rowStart)
+		mb.rows = make([]int32, len(inc))
+		for row := range n {
+			for _, id := range inc[row*perRow : (row+1)*perRow] {
+				mb.rows[next[id]] = int32(row)
+				next[id]++
+			}
+		}
 	})
 	if err != nil {
 		return nil, err
+	}
+	if s != nil {
+		var total int64
+		for _, n := range comparisons {
+			total += n
+		}
+		c.Reg().Add(metrics.CtrBroadcastBytes, ix.Bytes()+s.Bytes())
+		c.Reg().Add(metrics.CtrLCAComparisons, total)
 	}
 	return memo, nil
 }

@@ -4,8 +4,10 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
+	"sirum/internal/candgen"
 	"sirum/internal/datagen"
 	"sirum/internal/engine"
 )
@@ -177,5 +179,53 @@ func TestPrepareEmptyDataset(t *testing.T) {
 	}
 	if _, err := New(b, empty, Options{K: 2}).Run(); err == nil {
 		t.Error("cold run accepted an empty dataset")
+	}
+}
+
+// TestLCAMemoBuildIsDeterministic: building one space's leaf memo again
+// gives the same blocks — keys in first-seen order, rows ascending — for
+// packed and string keys, over LCAs and exhaustively. The lattice sorts its
+// keys, but the per-round fallback (memoTableParts) inherits the memo's
+// order.
+func TestLCAMemoBuildIsDeterministic(t *testing.T) {
+	ds := datagen.Income(1500, 5)
+	c := testCluster()
+	defer c.Close()
+	p := mustPrepare(t, c, ds, PrepOptions{SampleSize: 16, Seed: 3})
+	cd, release, err := p.ensureData(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	data, err := cd.Fork(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer data.Drop()
+	pc, sc := candgen.NewPackedCodec(p.packer), candgen.NewStringCodec(ds.NumDims())
+	ix := candgen.BuildIndex(p.sample)
+	for _, s := range []*candgen.Sample{p.sample, nil} {
+		var first *lcaMemo[uint64]
+		var firstStr *lcaMemo[string]
+		for i := 0; i < 5; i++ {
+			m, err := buildLCAMemo(c, data, s, ix, pc.ForEachLeafKey)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ms, err := buildLCAMemo(c, data, s, ix, sc.ForEachLeafKey)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				first, firstStr = m, ms
+				continue
+			}
+			if !reflect.DeepEqual(first.blocks, m.blocks) {
+				t.Errorf("sample %v: packed build %d differs from the first", s != nil, i)
+			}
+			if !reflect.DeepEqual(firstStr.blocks, ms.blocks) {
+				t.Errorf("sample %v: string build %d differs from the first", s != nil, i)
+			}
+		}
 	}
 }

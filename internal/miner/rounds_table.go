@@ -27,9 +27,10 @@ type tableRounds struct {
 	memo     *lcaMemo[uint64] // non-nil when cross-iteration LCA reuse applies
 	selected map[uint64]bool
 
-	// Lattice replay. space is where the query's lattice comes from — a
-	// shared space of the Prep, or a private one for a sample of the query's
-	// own — and nil when it mines without one. The two vectors are borrowed
+	// Lattice replay. space is where the query's memo and lattice come from
+	// — a shared space of the Prep, or, for a sample of the query's own, a
+	// private one it builds in its first round so later rounds only gather —
+	// and nil when it mines without one. The two vectors are borrowed
 	// from the scope's arena on first use and live for the query.
 	space    *candSpace
 	lat      *lattice
@@ -40,13 +41,15 @@ type tableRounds struct {
 func newTableRounds(q *query) (*tableRounds, error) {
 	tr := &tableRounds{q: q, pc: candgen.NewPackedCodec(q.p.packer), selected: map[uint64]bool{}}
 	tr.space = q.p.sharedSpace(q.sample)
-	if tr.space != nil {
-		var err error
-		if tr.memo, err = memoFor(q, tr.space, &tr.space.memo, tr.pc.ForEachLeafKey); err != nil {
-			return nil, err
+	if tr.space == nil {
+		if q.p.opt.DisableLCAMemo {
+			return tr, nil
 		}
-	} else if !q.p.opt.DisableLCAMemo {
-		tr.space = new(candSpace) // the query's own sample: freeze in round 1, replay after
+		tr.space = new(candSpace) // the query's own sample: a private memo and lattice
+	}
+	var err error
+	if tr.memo, err = memoFor(q, tr.space, &tr.space.memo, tr.pc.ForEachLeafKey); err != nil {
+		return nil, err
 	}
 	return tr, nil
 }
