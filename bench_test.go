@@ -1,8 +1,8 @@
 // Benchmarks regenerating the thesis' tables and figures, one testing.B
 // target per experiment id (DESIGN.md §4 maps each to its figure). They run
 // the experiment harness in quick mode at a large scale divisor so the whole
-// suite finishes in minutes; cmd/sirumbench runs the same experiments at
-// full scale.
+// suite finishes in minutes; `sirum exp` (cmd/sirum) runs the same
+// experiments at full scale.
 //
 // Benchmark output also reports the key derived metric of each figure
 // (speedup factor, pair counts, information gain) so bench logs double as a

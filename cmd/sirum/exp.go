@@ -1,37 +1,21 @@
-// Command sirumbench regenerates the thesis' tables and figures.
-//
-// Usage:
-//
-//	sirumbench -list
-//	sirumbench -exp fig-5.3            # one experiment
-//	sirumbench -exp all [-scale 2000]  # the whole evaluation
-//
-// Experiment ids are the thesis' figure/table numbers (fig-3.1 … fig-5.19,
-// table-1.2, table-4.1) plus the ablations from DESIGN.md §5. The -scale
-// flag divides the paper's dataset sizes; platform fixed overheads are
-// scaled to match (DESIGN.md §1). Performance is measured by the repository
-// benchmark (go run ./benchmark, BENCHMARK.json), not here.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 	"time"
 
 	"sirum/internal/experiments"
 )
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "sirumbench:", err)
-		os.Exit(1)
-	}
-}
-
-func run(args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("sirumbench", flag.ContinueOnError)
+// runExp regenerates the thesis' tables and figures (the exp subcommand).
+// Experiment ids are the thesis' figure/table numbers (fig-3.1 … fig-5.19,
+// table-1.2, table-4.1) plus the ablations. The -scale flag divides the
+// paper's dataset sizes; platform fixed overheads are scaled to match. Performance is measured by the repository
+// benchmark (go run ./benchmark, BENCHMARK.json), not here.
+func runExp(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("sirum exp", flag.ContinueOnError)
 	list := fs.Bool("list", false, "list experiments and exit")
 	exp := fs.String("exp", "", "experiment id, or 'all'")
 	scale := fs.Int("scale", 2000, "divide the paper's dataset sizes by this factor")

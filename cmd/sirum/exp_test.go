@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-func TestList(t *testing.T) {
+func TestExpList(t *testing.T) {
 	var sb strings.Builder
-	if err := run([]string{"-list"}, &sb); err != nil {
+	if err := run([]string{"exp", "-list"}, &sb); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"fig-3.1", "fig-5.19", "table-4.1", "ablation-groups"} {
@@ -17,9 +17,9 @@ func TestList(t *testing.T) {
 	}
 }
 
-func TestRunOneExperiment(t *testing.T) {
+func TestExpRunOneExperiment(t *testing.T) {
 	var sb strings.Builder
-	if err := run([]string{"-exp", "table-1.2", "-scale", "50000", "-quick"}, &sb); err != nil {
+	if err := run([]string{"exp", "-exp", "table-1.2", "-scale", "50000", "-quick"}, &sb); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "London") {
@@ -30,9 +30,9 @@ func TestRunOneExperiment(t *testing.T) {
 	}
 }
 
-func TestRunErrors(t *testing.T) {
+func TestExpRunErrors(t *testing.T) {
 	var sb strings.Builder
-	for _, args := range [][]string{{}, {"-exp", "fig-0.0"}, {"-badflag"}} {
+	for _, args := range [][]string{{"exp"}, {"exp", "-exp", "fig-0.0"}, {"exp", "-badflag"}} {
 		if err := run(args, &sb); err == nil {
 			t.Errorf("args %v accepted", args)
 		}

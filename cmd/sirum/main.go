@@ -12,6 +12,15 @@
 // With -ks (comma-separated list, e.g. -ks 5,10,20) the dataset is prepared
 // once and every K runs as a query against the shared session — the
 // interactive prepare-once/query-many path — reporting per-query times.
+//
+// The exp subcommand regenerates the thesis' tables and figures:
+//
+//	sirum exp -list
+//	sirum exp -exp fig-5.3            # one experiment
+//	sirum exp -exp all [-scale 2000]  # the whole evaluation
+//
+// with -quick, -seed, -executors, -cores and -backend sim|native as further
+// flags.
 package main
 
 import (
@@ -34,6 +43,9 @@ func main() {
 }
 
 func run(args []string, out io.Writer) error {
+	if len(args) > 0 && args[0] == "exp" {
+		return runExp(args[1:], out)
+	}
 	fs := flag.NewFlagSet("sirum", flag.ContinueOnError)
 	input := fs.String("input", "", "CSV file to mine")
 	measure := fs.String("measure", "", "measure column name (required with -input)")

@@ -1,7 +1,8 @@
 // Command sirumvet runs sirum's project-invariant static-analysis suite
 // (internal/lint) over the module: the conventions that keep hot paths
 // allocation-free, responses byte-pinned, lifecycles paired, error prefixes
-// classifiable and metric names coherent, machine-checked.
+// classifiable, metric names coherent and the serving path fenced off from
+// the figure harness, machine-checked.
 //
 // Usage:
 //

@@ -129,7 +129,7 @@ func TestTable41Golden(t *testing.T) {
 }
 
 // TestSelectedExperimentsRun smoke-tests a representative subset end to end
-// at tiny scale; the full registry is exercised by cmd/sirumbench and the
+// at tiny scale; the full registry is exercised by `sirum exp` and the
 // benchmarks.
 func TestSelectedExperimentsRun(t *testing.T) {
 	if testing.Short() {

@@ -52,6 +52,15 @@
 // exposition document, and off-prefix names escape the cluster rollup's
 // naming contract.
 //
+// importboundary — non-test files of the serving path (the root sirum
+// package, internal/server, internal/router, cmd/sirumd, cmd/sirumr) must
+// not import internal/experiments, internal/platform or benchmark, directly
+// or through any other package. Those are the paper's figure harness, its
+// platform cost profiles and the repository benchmark: code a daemon must
+// never link. A violation is reported at the serving package's import that
+// reaches the forbidden package; imports of other serving packages answer
+// for themselves. Test files (the root bench_test.go) are exempt.
+//
 // # Suppression
 //
 // A justified exception is annotated in place:

@@ -35,6 +35,7 @@ func Checks() []*Check {
 		pairedLifecycleCheck(),
 		errPrefixCheck(),
 		metricNameCheck(),
+		importBoundaryCheck(),
 	}
 }
 

@@ -95,7 +95,7 @@ func TestGoldenFixtures(t *testing.T) {
 // TestSuiteNames pins the advertised check set: CI and the README refer to
 // these names, and //sirum:allow directives key on them.
 func TestSuiteNames(t *testing.T) {
-	want := []string{"zerocopykey", "pinnedencode", "pairedlifecycle", "errprefix", "metricname"}
+	want := []string{"zerocopykey", "pinnedencode", "pairedlifecycle", "errprefix", "metricname", "importboundary"}
 	got := CheckNames()
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("check names = %v, want %v", got, want)

@@ -19,12 +19,13 @@ import (
 // Package is one type-checked module package as the checks see it: its
 // import path, syntax (non-test files only), and type information.
 type Package struct {
-	Path  string
-	Dir   string
-	Files []*ast.File
-	Fset  *token.FileSet
-	Pkg   *types.Package
-	Info  *types.Info
+	Path   string
+	Module string // path of the module the package belongs to
+	Dir    string
+	Files  []*ast.File
+	Fset   *token.FileSet
+	Pkg    *types.Package
+	Info   *types.Info
 }
 
 // Module is the loaded view of one Go module.
@@ -130,7 +131,7 @@ func (l *loader) load(importPath string) (*Package, error) {
 		delete(l.cache, importPath)
 		return nil, fmt.Errorf("lint: type-checking %s: %v", importPath, err)
 	}
-	pkg := &Package{Path: importPath, Dir: dir, Files: files, Fset: l.fset, Pkg: tpkg, Info: info}
+	pkg := &Package{Path: importPath, Module: l.module, Dir: dir, Files: files, Fset: l.fset, Pkg: tpkg, Info: info}
 	l.cache[importPath] = pkg
 	return pkg, nil
 }

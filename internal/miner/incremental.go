@@ -4,38 +4,28 @@ import (
 	"fmt"
 
 	"sirum/internal/dataset"
-	"sirum/internal/engine"
 	"sirum/internal/maxent"
 	"sirum/internal/rule"
 )
 
-// Incremental maintains an informative rule list as new data arrives — the
-// streaming SIRUM sketched in the thesis' future work (Chapter 7). Each
-// appended batch is folded into the accumulated dataset and the existing
-// rule list is *refit* (iterative scaling only — two scans per rule with the
-// RCT, no candidate generation). When the refit divergence drifts past
-// RemineFactor times the divergence measured right after the last full mine,
-// the rule list is considered stale and is mined from scratch.
-type Incremental struct {
-	c    engine.Backend
-	opt  Options
-	prep *Prep // optional prepared state for full re-mines (see UsePrep)
+// DefaultRemineFactor is the remineFactor sessions pass Maintain unless
+// configured otherwise.
+const DefaultRemineFactor = 1.5
 
-	data      *dataset.Dataset
-	rules     []rule.Rule // includes the all-wildcards rule first
-	baseRatio float64     // KL / baseline-KL right after the last full mine
-	lastRes   *Result
-
-	// RemineFactor triggers a full re-mine when the refit's share of
-	// unexplained divergence (refit KL divided by the all-wildcards
-	// baseline KL on the same data) exceeds RemineFactor times the share
-	// right after the last full mine (default 1.5). Lower values re-mine
-	// more eagerly. The normalization makes the trigger insensitive to the
-	// overall divergence shifting as batches mix distributions.
-	RemineFactor float64
+// Maintained is the state an incrementally maintained rule list carries
+// from one batch to the next — the streaming SIRUM sketched in the thesis'
+// future work (Chapter 7). The zero value has mined nothing yet.
+type Maintained struct {
+	// Rules is the current rule list, the all-wildcards rule first; empty
+	// before the first mine.
+	Rules []rule.Rule
+	// BaseRatio is the unexplained-divergence share (KL divided by the
+	// all-wildcards baseline KL on the same data) right after the last
+	// full mine.
+	BaseRatio float64
 }
 
-// IncrementalResult reports one Append.
+// IncrementalResult reports one Maintain.
 type IncrementalResult struct {
 	// Remined is true when the batch triggered a full mining pass.
 	Remined bool
@@ -45,156 +35,94 @@ type IncrementalResult struct {
 	// Rules is the current rule list (excluding the all-wildcards rule),
 	// with aggregates recomputed on the accumulated data.
 	Rules []MinedRule
-	// Rows is the accumulated dataset size.
-	Rows int
 }
 
-// NewIncremental builds an incremental miner. opt configures the full mining
-// passes (the same options Run accepts).
-func NewIncremental(c engine.Backend, opt Options) *Incremental {
-	return &Incremental{c: c, opt: opt.withDefaults(), RemineFactor: 1.5}
-}
-
-// Seed installs already-loaded data without mining it, so a prepare-once
-// session can hand its base dataset to the incremental maintainer: the first
-// Append then folds into the seed (and mines the union) instead of starting
-// from the batch alone.
-func (inc *Incremental) Seed(ds *dataset.Dataset) { inc.data = ds }
-
-// SetOptions replaces the options used by future refits and full re-mines.
-func (inc *Incremental) SetOptions(opt Options) { inc.opt = opt.withDefaults() }
-
-// Options returns the options in effect for refits and full re-mines, with
-// defaults applied. Callers that SetOptions speculatively (the session
-// layer's Append) capture this first so a failed maintenance pass can be
-// rolled back to the last good configuration.
-func (inc *Incremental) Options() Options { return inc.opt }
-
-// Data returns the accumulated dataset (nil before any Seed/Append).
-func (inc *Incremental) Data() *dataset.Dataset { return inc.data }
-
-// UsePrep directs full re-mines at an existing prepared session instead of
-// a cold run, so the session layer's Append does not load the grown data
-// twice. The prep is consulted only while its Dataset matches the
-// accumulated data; pass nil to revert to cold re-mines.
-func (inc *Incremental) UsePrep(p *Prep) { inc.prep = p }
-
-// Rules returns the current rule list (excluding the leading all-wildcards
-// rule).
-func (inc *Incremental) Rules() []rule.Rule {
-	if len(inc.rules) == 0 {
-		return nil
+// Maintain brings prev up to date with data, the accumulated dataset, and
+// returns the new state. It never modifies prev, so on error the caller
+// keeps its last good state by dropping the result. The rule list is
+// *refit* (iterative scaling only — two scans per rule with the RCT, no
+// candidate generation) unless nothing was mined yet, a rule lost its
+// support, or the refit's unexplained-divergence share exceeds remineFactor
+// times prev.BaseRatio; then it is mined from scratch with opt — as a query
+// against p when p prepared data itself, cold on p's backend when p holds a
+// Bernoulli sample of it. Normalizing by the baseline makes the trigger
+// insensitive to the overall divergence shifting as batches mix
+// distributions.
+func Maintain(p *Prep, data *dataset.Dataset, prev Maintained, opt Options, remineFactor float64) (Maintained, *IncrementalResult, error) {
+	if data == nil || data.NumRows() == 0 {
+		return Maintained{}, nil, fmt.Errorf("miner: no data to maintain")
 	}
-	return inc.rules[1:]
-}
-
-// Append folds a batch into the accumulated data, refits or re-mines, and
-// reports the state.
-func (inc *Incremental) Append(batch *dataset.Dataset) (*IncrementalResult, error) {
-	if batch.NumRows() == 0 && inc.data == nil {
-		return nil, fmt.Errorf("miner: first batch is empty")
-	}
-	if inc.data == nil {
-		inc.data = batch
-	} else {
-		merged, err := inc.data.Concat(batch)
-		if err != nil {
-			return nil, fmt.Errorf("miner: appending batch: %w", err)
+	for _, r := range prev.Rules {
+		if len(r) != data.NumDims() {
+			return Maintained{}, nil, fmt.Errorf("miner: maintained rule %v does not fit the data's %d dimensions", r, data.NumDims())
 		}
-		inc.data = merged
 	}
-	return inc.Maintain()
-}
-
-// Maintain refits or re-mines the rule list on the current accumulated data
-// (which the caller may have grown externally via Seed — the session layer
-// concatenates and re-prepares first so a failed preparation leaves the
-// incremental state untouched). On error the rule list is unchanged.
-func (inc *Incremental) Maintain() (*IncrementalResult, error) {
-	if inc.data == nil || inc.data.NumRows() == 0 {
-		return nil, fmt.Errorf("miner: no data to maintain")
-	}
-	// Nothing mined yet: full mine.
-	if len(inc.rules) == 0 {
-		return inc.remine()
-	}
-
-	// Refit: recompute the maximum-entropy fit of the existing rules on the
-	// grown data. Rules may have lost their support entirely (values absent
-	// from new reality) — drop those.
-	refitKL, kept, err := inc.refit()
-	if err != nil {
-		return nil, err
-	}
-	ratio := klRatio(refitKL, inc.baselineKL())
-	if len(kept) != len(inc.rules) || ratio > inc.RemineFactor*inc.baseRatio {
-		return inc.remine()
-	}
-	inc.rules = kept
-	out := &IncrementalResult{KL: refitKL, Rows: inc.data.NumRows()}
-	out.Rules, err = inc.describeRules()
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// refit runs the RCT scaler over the accumulated data with the current rule
-// list and returns the divergence plus the rules that still have support.
-func (inc *Incremental) refit() (float64, []rule.Rule, error) {
-	_, work := maxent.NewTransform(inc.data.Measure)
-	s := maxent.NewRCTScaler(inc.data, work, len(inc.rules)+1)
-	s.Epsilon = inc.opt.Epsilon
-	kept := make([]rule.Rule, 0, len(inc.rules))
-	for _, r := range inc.rules {
-		if _, err := s.AddRule(r); err != nil {
-			// Empty support on the grown data: drop the rule, keep going.
-			continue
+	opt = opt.withDefaults()
+	baseline := baselineKL(data)
+	if len(prev.Rules) > 0 {
+		// Refit: recompute the maximum-entropy fit of the existing rules on
+		// the grown data. Rules may have lost their support entirely (values
+		// absent from new reality) — that forces a re-mine.
+		kl, kept := refit(data, prev.Rules, opt.Epsilon)
+		stale := len(kept) != len(prev.Rules) || klRatio(kl, baseline) > remineFactor*prev.BaseRatio
+		if !stale {
+			next := Maintained{Rules: kept, BaseRatio: prev.BaseRatio}
+			return describe(data, next, &IncrementalResult{KL: kl})
 		}
-		kept = append(kept, r)
 	}
-	return maxent.KLDivergence(work, s.Mhat()), kept, nil
-}
 
-// remine runs a full mining pass on the accumulated data — as a query
-// against the caller-provided prepared state when it matches, cold
-// otherwise.
-func (inc *Incremental) remine() (*IncrementalResult, error) {
 	var res *Result
 	var err error
-	if inc.prep != nil && inc.prep.Dataset() == inc.data {
-		res, err = inc.prep.Mine(inc.opt)
+	cold := p.Dataset() != data
+	if cold {
+		res, err = New(p.Backend(), data, opt).Run()
 	} else {
-		res, err = New(inc.c, inc.data, inc.opt).Run()
+		res, err = p.Mine(opt)
 	}
 	if err != nil {
-		return nil, err
+		return Maintained{}, nil, err
 	}
-	inc.lastRes = res
-	inc.baseRatio = klRatio(res.KL, inc.baselineKL())
-	inc.rules = make([]rule.Rule, 0, len(res.Rules)+1)
-	inc.rules = append(inc.rules, rule.AllWildcards(inc.data.NumDims()))
+	rules := make([]rule.Rule, 0, len(res.Rules)+1)
+	rules = append(rules, rule.AllWildcards(data.NumDims()))
 	for _, mr := range res.Rules {
-		inc.rules = append(inc.rules, mr.Rule)
+		rules = append(rules, mr.Rule)
 	}
-	rules, err := inc.describeRules()
-	if err != nil {
-		return nil, err
+	kl := res.KL
+	if cold {
+		// A cold run may have mined a sample (opt.SampleFraction): report
+		// and seed the baseline from the rules' fit on every row, as a
+		// refit would.
+		kl, _ = refit(data, rules, opt.Epsilon)
 	}
-	return &IncrementalResult{Remined: true, KL: res.KL, Rules: rules, Rows: inc.data.NumRows()}, nil
+	next := Maintained{Rules: rules, BaseRatio: klRatio(kl, baseline)}
+	return describe(data, next, &IncrementalResult{Remined: true, KL: kl})
 }
 
-// baselineKL returns the divergence of the all-wildcards-only model on the
-// accumulated data (the denominator of the drift ratio).
-func (inc *Incremental) baselineKL() float64 {
-	_, work := maxent.NewTransform(inc.data.Measure)
+// refit runs the RCT scaler over data with the given rule list (the
+// all-wildcards rule first) and returns the divergence plus the rules that
+// still have support.
+func refit(data *dataset.Dataset, rules []rule.Rule, epsilon float64) (float64, []rule.Rule) {
+	_, work := maxent.NewTransform(data.Measure)
+	s := maxent.NewRCTScaler(data, work, len(rules)+1)
+	s.Epsilon = epsilon
+	kept := make([]rule.Rule, 0, len(rules))
+	for _, r := range rules {
+		if _, err := s.AddRule(r); err == nil { // else: no support left, drop it
+			kept = append(kept, r)
+		}
+	}
+	return maxent.KLDivergence(work, s.Mhat()), kept
+}
+
+// baselineKL returns the divergence of the all-wildcards-only model on
+// non-empty data (the denominator of the drift ratio).
+func baselineKL(data *dataset.Dataset) float64 {
+	_, work := maxent.NewTransform(data.Measure)
 	avg := 0.0
 	for _, v := range work {
 		avg += v
 	}
-	if len(work) > 0 {
-		avg /= float64(len(work))
-	}
+	avg /= float64(len(work))
 	base := make([]float64, len(work))
 	for i := range base {
 		base[i] = avg
@@ -210,19 +138,16 @@ func klRatio(kl, baseline float64) float64 {
 	return kl / baseline
 }
 
-// describeRules recomputes display aggregates of the current rules on the
-// accumulated data.
-func (inc *Incremental) describeRules() ([]MinedRule, error) {
-	out := make([]MinedRule, 0, len(inc.rules))
-	for i, r := range inc.rules {
-		if i == 0 {
-			continue // the all-wildcards rule is implicit in reports
-		}
-		sum, count := r.SupportSums(inc.data)
+// describe completes out with the display aggregates of next's rules on data
+// (the all-wildcards rule is implicit in reports) and returns next with it.
+func describe(data *dataset.Dataset, next Maintained, out *IncrementalResult) (Maintained, *IncrementalResult, error) {
+	out.Rules = make([]MinedRule, 0, len(next.Rules))
+	for _, r := range next.Rules[1:] {
+		sum, count := r.SupportSums(data)
 		if count == 0 {
-			return nil, fmt.Errorf("miner: kept rule %v lost its support", r)
+			return Maintained{}, nil, fmt.Errorf("miner: kept rule %v lost its support", r)
 		}
-		out = append(out, MinedRule{Rule: r.Clone(), Avg: sum / float64(count), Count: int64(count)})
+		out.Rules = append(out.Rules, MinedRule{Rule: r.Clone(), Avg: sum / float64(count), Count: int64(count)})
 	}
-	return out, nil
+	return next, out, nil
 }

@@ -1,50 +1,70 @@
 package miner
 
 import (
+	"reflect"
 	"testing"
 
 	"sirum/internal/datagen"
 	"sirum/internal/dataset"
+	"sirum/internal/engine"
 )
+
+// maintainOn prepares data on c, as a session's Append does, and maintains
+// prev against it.
+func maintainOn(t *testing.T, c engine.Backend, data *dataset.Dataset, prev Maintained, opt Options, factor float64) (Maintained, *IncrementalResult, error) {
+	t.Helper()
+	p, err := Prepare(c, data, PrepOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Drop()
+	return Maintain(p, data, prev, opt, factor)
+}
+
+// grow concatenates a batch onto the accumulated data.
+func grow(t *testing.T, data, batch *dataset.Dataset) *dataset.Dataset {
+	t.Helper()
+	merged, err := data.Concat(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return merged
+}
 
 func TestIncrementalFirstBatchMines(t *testing.T) {
 	c := testCluster()
 	defer c.Close()
-	inc := NewIncremental(c, Options{Variant: Optimized, K: 3, SampleSize: 0})
-	res, err := inc.Append(datagen.Flights())
+	state, res, err := maintainOn(t, c, datagen.Flights(), Maintained{}, Options{Variant: Optimized, K: 3, SampleSize: 0}, DefaultRemineFactor)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Remined {
 		t.Error("first batch must trigger a full mine")
 	}
-	if len(res.Rules) != 3 || res.Rows != 14 {
-		t.Errorf("rules=%d rows=%d", len(res.Rules), res.Rows)
+	if len(res.Rules) != 3 {
+		t.Errorf("rules=%d", len(res.Rules))
 	}
-	if len(inc.Rules()) != 3 {
-		t.Errorf("Rules() = %d", len(inc.Rules()))
+	if len(state.Rules) != 4 || state.Rules[0].NumWildcards() != len(state.Rules[0]) {
+		t.Errorf("state holds %d rules, want the all-wildcards rule then 3", len(state.Rules))
 	}
 }
 
 func TestIncrementalRefitOnSimilarBatch(t *testing.T) {
 	c := testCluster()
 	defer c.Close()
-	inc := NewIncremental(c, Options{Variant: Optimized, K: 3, SampleSize: 16, Seed: 3})
+	opt := Options{Variant: Optimized, K: 3, SampleSize: 16, Seed: 3}
 	base := datagen.Income(3000, 5)
-	if _, err := inc.Append(base); err != nil {
+	state, _, err := maintainOn(t, c, base, Maintained{}, opt, DefaultRemineFactor)
+	if err != nil {
 		t.Fatal(err)
 	}
 	// A batch from the same distribution should refit without re-mining.
-	more := datagen.Income(600, 99)
-	res, err := inc.Append(more)
+	_, res, err := maintainOn(t, c, grow(t, base, datagen.Income(600, 99)), state, opt, DefaultRemineFactor)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Remined {
 		t.Error("same-distribution batch should not trigger a re-mine")
-	}
-	if res.Rows != 3600 {
-		t.Errorf("rows = %d", res.Rows)
 	}
 	// Aggregates must reflect the merged data.
 	for _, mr := range res.Rules {
@@ -57,9 +77,10 @@ func TestIncrementalRefitOnSimilarBatch(t *testing.T) {
 func TestIncrementalReminesOnDrift(t *testing.T) {
 	c := testCluster()
 	defer c.Close()
-	inc := NewIncremental(c, Options{Variant: Optimized, K: 3, SampleSize: 16, Seed: 3})
-	inc.RemineFactor = 1.05 // eager
-	if _, err := inc.Append(datagen.Income(2000, 5)); err != nil {
+	opt := Options{Variant: Optimized, K: 3, SampleSize: 16, Seed: 3}
+	base := datagen.Income(2000, 5)
+	state, _, err := maintainOn(t, c, base, Maintained{}, opt, 1.05) // eager
+	if err != nil {
 		t.Fatal(err)
 	}
 	// A drastically different batch (different planted structure via TLC's
@@ -69,7 +90,7 @@ func TestIncrementalReminesOnDrift(t *testing.T) {
 	for i := range drift.Measure {
 		drift.Measure[i] = 1 - drift.Measure[i]
 	}
-	res, err := inc.Append(drift)
+	_, res, err := maintainOn(t, c, grow(t, base, drift), state, opt, 1.05)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,28 +99,47 @@ func TestIncrementalReminesOnDrift(t *testing.T) {
 	}
 }
 
-func TestIncrementalEmptyFirstBatch(t *testing.T) {
-	c := testCluster()
-	defer c.Close()
-	inc := NewIncremental(c, Options{K: 2})
-	empty := dataset.NewBuilder(dataset.Schema{DimNames: []string{"a"}, MeasureName: "m"}).MustBuild()
-	if _, err := inc.Append(empty); err == nil {
-		t.Error("empty first batch accepted")
-	}
-}
-
 func TestIncrementalMismatchedBatch(t *testing.T) {
 	c := testCluster()
 	defer c.Close()
-	inc := NewIncremental(c, Options{Variant: Optimized, K: 2, SampleSize: 0})
-	if _, err := inc.Append(datagen.Flights()); err != nil {
+	state, _, err := maintainOn(t, c, datagen.Flights(), Maintained{}, Options{Variant: Optimized, K: 2, SampleSize: 0}, DefaultRemineFactor)
+	if err != nil {
 		t.Fatal(err)
 	}
 	other := dataset.NewBuilder(dataset.Schema{DimNames: []string{"x"}, MeasureName: "m"})
 	if err := other.Add([]string{"v"}, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := inc.Append(other.MustBuild()); err == nil {
+	if _, _, err := maintainOn(t, c, other.MustBuild(), state, Options{K: 2}, DefaultRemineFactor); err == nil {
 		t.Error("mismatched schema batch accepted")
+	}
+}
+
+// TestIncrementalMaintainKeepsPrevOnFailure pins that a failed Maintain
+// leaves the caller's state untouched, so dropping the result is all the
+// rollback a caller needs.
+func TestIncrementalMaintainKeepsPrevOnFailure(t *testing.T) {
+	c := testCluster()
+	defer c.Close()
+	opt := Options{Variant: Optimized, K: 3, SampleSize: 16, Seed: 3}
+	base := datagen.Income(1200, 5)
+	prev, _, err := maintainOn(t, c, base, Maintained{}, opt, DefaultRemineFactor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Maintained{BaseRatio: prev.BaseRatio}
+	for _, r := range prev.Rules {
+		want.Rules = append(want.Rules, r.Clone())
+	}
+
+	// A near-zero factor forces the re-mine, and a SampleFraction the prep
+	// was not built with fails it — after the refit already ran.
+	bad := opt
+	bad.SampleFraction = 0.5
+	if _, _, err := maintainOn(t, c, grow(t, base, datagen.Income(300, 7)), prev, bad, 1e-9); err == nil {
+		t.Fatal("re-mine with a mismatched SampleFraction should fail")
+	}
+	if !reflect.DeepEqual(prev, want) {
+		t.Errorf("failed Maintain modified prev:\n got %v\nwant %v", prev, want)
 	}
 }

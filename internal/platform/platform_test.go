@@ -68,7 +68,7 @@ func TestPlatformOrdering(t *testing.T) {
 		t.Errorf("spark (%v) not faster than postgres (%v)", spark, pg)
 	}
 	// At this small test scale the disk-shuffle volume is modest; the full
-	// order-of-magnitude gap appears at sirumbench scale (fig-5.2). Here a
+	// order-of-magnitude gap appears at `sirum exp` scale (fig-5.2). Here a
 	// clear 1.5x separation is the invariant.
 	if spark*1.5 >= hive {
 		t.Errorf("hive (%v) not much slower than spark (%v)", hive, spark)

@@ -29,12 +29,13 @@ type PrepareOptions struct {
 	Cluster Cluster
 	// Backend selects the execution substrate (default BackendNative).
 	Backend Backend
-	// RemineFactor tunes Append's staleness trigger: a full re-mine fires
-	// when the refit rule list's share of unexplained divergence exceeds
-	// RemineFactor times the share right after the last full mine (default
-	// 1.5; lower re-mines more eagerly — the share saturates at 1.0 when
-	// the rules stop explaining anything, so thresholds must stay below
-	// that times the base share).
+	// RemineFactor is Append's staleness trigger (miner.Maintain's
+	// remineFactor): a full re-mine fires when the refit rule list's share
+	// of unexplained divergence exceeds RemineFactor times the share right
+	// after the last full mine (default miner.DefaultRemineFactor, 1.5;
+	// lower re-mines more eagerly — the share saturates at 1.0 when the
+	// rules stop explaining anything, so thresholds must stay below that
+	// times the base share).
 	RemineFactor float64
 }
 
@@ -62,7 +63,7 @@ func (o PrepareOptions) Canonical(rows int) spec.PrepSpec {
 		s.Backend = string(BackendNative)
 	}
 	if s.RemineFactor <= 0 {
-		s.RemineFactor = 1.5 // NewIncremental's default staleness trigger
+		s.RemineFactor = miner.DefaultRemineFactor
 	}
 	return s
 }
@@ -87,7 +88,7 @@ type Prepared struct {
 	cl       engine.Backend
 	popt     PrepareOptions
 	prep     *miner.Prep
-	inc      *miner.Incremental
+	rules    miner.Maintained // the rule list Append maintains
 	dsSpec   spec.DatasetSpec // source identity; Epoch/Chain fields stay zero here
 	prepSpec spec.PrepSpec
 	epoch    int64    // bumped by every successful Append
@@ -107,14 +108,9 @@ func (d *Dataset) Prepare(opt PrepareOptions) (*Prepared, error) {
 		cl.Close()
 		return nil, err
 	}
-	inc := miner.NewIncremental(cl, miner.Options{})
-	inc.Seed(d.ds)
-	if opt.RemineFactor > 0 {
-		inc.RemineFactor = opt.RemineFactor
-	}
 	dsSpec := d.sourceSpec()
 	return &Prepared{
-		d: d, cl: cl, popt: opt, prep: prep, inc: inc,
+		d: d, cl: cl, popt: opt, prep: prep,
 		dsSpec:   dsSpec,
 		prepSpec: opt.Canonical(d.NumRows()),
 		chain:    dsSpec.Fingerprint(),
@@ -310,49 +306,37 @@ func (p *Prepared) Append(batch *Dataset, opt Options) (*AppendResult, error) {
 	if err := p.checkQuery(opt.Backend); err != nil {
 		return nil, err
 	}
-	old := p.d
-	merged, err := old.ds.Concat(batch.ds)
+	merged, err := p.d.ds.Concat(batch.ds)
 	if err != nil {
 		return nil, err
 	}
 	// The grown dataset keeps the base source identity: what changed is the
 	// epoch, which is bumped below once the append commits.
-	grown := &Dataset{ds: merged, src: old.src}
+	grown := &Dataset{ds: merged, src: p.d.src}
 	mopt, err := opt.minerOptions(grown.NumRows())
 	if err != nil {
 		return nil, err
 	}
 
-	// Prepare the grown dataset before touching any session state, so a
-	// failed preparation (or maintenance pass) leaves the session exactly
-	// as it was — retrying the Append cannot double-count the batch.
+	// Nothing below touches session state until the append commits, so a
+	// failed preparation or maintenance pass leaves the session exactly as
+	// it was — retrying the Append cannot double-count the batch. A re-mine
+	// runs as a query against the new prep, not a second data load.
 	prep, err := miner.Prepare(p.cl, grown.ds, p.popt.prepOptions(grown.NumRows()))
 	if err != nil {
 		return nil, err
 	}
-	prevOpt := p.inc.Options()
-	p.inc.SetOptions(mopt)
-	p.inc.Seed(grown.ds)
-	p.inc.UsePrep(prep) // a re-mine runs as a query, not a second data load
-	incRes, err := p.inc.Maintain()
+	rules, incRes, err := miner.Maintain(prep, grown.ds, p.rules, mopt, p.prepSpec.RemineFactor)
 	if err != nil {
-		// Roll back every speculative mutation: the rule list, data and
-		// options are exactly as before, so a retried Append cannot
-		// double-count the batch or silently run with the failed call's
-		// options.
-		p.inc.SetOptions(prevOpt)
-		p.inc.Seed(old.ds)
-		p.inc.UsePrep(nil)
 		prep.Drop()
 		return nil, err
 	}
 	p.prep.Drop()
-	p.prep = prep
-	p.d = grown
+	p.prep, p.rules, p.d = prep, rules, grown
 	p.epoch++
 	p.chain = spec.ExtendChain(p.chain, batch.contentHash())
 
-	out := &AppendResult{Remined: incRes.Remined, Rows: incRes.Rows, KL: incRes.KL}
+	out := &AppendResult{Remined: incRes.Remined, Rows: grown.NumRows(), KL: incRes.KL}
 	for _, mr := range incRes.Rules {
 		out.Rules = append(out.Rules, grown.publicRule(mr))
 	}

@@ -2,6 +2,7 @@ package sirum
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -182,6 +183,9 @@ func TestPreparedAppend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if res2.Remined {
+		t.Error("small same-distribution batch re-mined instead of refitting")
+	}
 	if res2.Rows != 2000 {
 		t.Errorf("rows after second append = %d, want 2000", res2.Rows)
 	}
@@ -214,58 +218,71 @@ func TestPreparedRejectsForeignBackend(t *testing.T) {
 }
 
 // TestPreparedAppendRollsBackOptionsOnFailure is the regression test for the
-// failed-Append option leak: a Maintain that errors out mid-Append must
-// restore the incremental maintainer's options (alongside the data and rule
-// list), so no later maintenance pass silently runs with the failed call's
-// options.
+// failed-Append option leak: an Append whose maintenance pass errors out must
+// leave the session exactly as it was — rule list, rows, epoch and content
+// chain — so a retried Append answers bit-for-bit like a twin session that
+// never saw the failure, instead of running with the failed call's options.
 func TestPreparedAppendRollsBackOptionsOnFailure(t *testing.T) {
 	ds, err := Generate("income", 1200, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A near-zero RemineFactor forces every Append to re-mine, so the bad
-	// options below are guaranteed to reach the mining path and fail there.
-	p, err := ds.Prepare(PrepareOptions{SampleSize: 16, Seed: 2, RemineFactor: 1e-9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-
 	batch, err := Generate("income", 300, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Append(batch, Options{K: 3, SampleSize: 16, Seed: 2}); err != nil {
-		t.Fatal(err)
-	}
-	goodOpt := p.inc.Options()
-	rowsBefore := p.NumRows()
-
-	// SampleFraction on the query but not on the session: the re-mine runs
-	// against prepared state built without a fraction and rejects the
-	// mismatch — after SetOptions already happened.
 	bad, err := Generate("income", 300, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
+	good := Options{K: 3, SampleSize: 16, Seed: 2}
+	// A near-zero RemineFactor forces every Append to re-mine, so the bad
+	// options below are guaranteed to reach the mining path and fail there.
+	session := func() *Prepared {
+		p, err := ds.Prepare(PrepareOptions{SampleSize: 16, Seed: 2, RemineFactor: 1e-9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Append(batch, good); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	p, twin := session(), session()
+	defer p.Close()
+	defer twin.Close()
+
+	rulesBefore := p.rules
+	rowsBefore, epochBefore, chainBefore := p.NumRows(), p.Epoch(), p.DatasetSpec().Chain
+	// SampleFraction on the query but not on the session: the re-mine runs
+	// against prepared state built without a fraction and rejects the
+	// mismatch — after the refit already ran.
 	if _, err := p.Append(bad, Options{K: 3, SampleSize: 16, Seed: 2, SampleFraction: 0.5}); err == nil {
 		t.Fatal("append with mismatched SampleFraction should fail")
 	}
-	if got := p.inc.Options(); !reflect.DeepEqual(got, goodOpt) {
-		t.Errorf("failed append leaked options into the maintainer:\n got %+v\nwant %+v", got, goodOpt)
+	if !reflect.DeepEqual(p.rules, rulesBefore) {
+		t.Error("failed append changed the maintained rule list")
 	}
-	if p.NumRows() != rowsBefore {
-		t.Errorf("failed append grew the session: %d rows, want %d", p.NumRows(), rowsBefore)
+	if p.NumRows() != rowsBefore || p.Epoch() != epochBefore || p.DatasetSpec().Chain != chainBefore {
+		t.Errorf("failed append moved the session: rows %d epoch %d chain %s, want %d, %d, %s",
+			p.NumRows(), p.Epoch(), p.DatasetSpec().Chain, rowsBefore, epochBefore, chainBefore)
 	}
 
 	// The session must be fully usable, and a retried Append counts the
-	// batch exactly once.
-	res, err := p.Append(bad, Options{K: 3, SampleSize: 16, Seed: 2})
+	// batch exactly once, answering as if the failure never happened.
+	got, err := p.Append(bad, good)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rows != rowsBefore+300 {
-		t.Errorf("retried append rows = %d, want %d", res.Rows, rowsBefore+300)
+	want, err := twin.Append(bad, good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Rows != rowsBefore+300 {
+		t.Errorf("retried append rows = %d, want %d", got.Rows, rowsBefore+300)
+	}
+	if got.Remined != want.Remined || math.Float64bits(got.KL) != math.Float64bits(want.KL) || !reflect.DeepEqual(got.Rules, want.Rules) {
+		t.Errorf("retried append differs from a session that never failed:\n got %+v\nwant %+v", got, want)
 	}
 }
 
@@ -726,4 +743,51 @@ func TestPreparedAppendCrossesPackBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameResult(t, "explore after the append", coldExplored.Result, explored.Result)
+}
+
+// TestPreparedAppendOnSampleReportsFullDataKL pins AppendResult.KL to the
+// accumulated data on a SampleFraction session. A re-mine mines the sample,
+// but it must report — and seed the staleness baseline from — the divergence
+// of the re-mined rules on every row, exactly as a refit does and as Fit of
+// the same rules computes.
+func TestPreparedAppendOnSampleReportsFullDataKL(t *testing.T) {
+	base, err := Generate("income", 4000, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := base.Prepare(PrepareOptions{SampleSize: 16, Seed: 2, SampleFraction: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+
+	opt := Options{K: 3, SampleSize: 16, Seed: 2, SampleFraction: 0.5}
+	all := base.ds
+	for i, seed := range []int64{6, 7} {
+		batch, err := Generate("income", 500, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := p.Append(batch, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := i == 0; res.Remined != want {
+			t.Fatalf("append %d: Remined = %v, want %v", i+1, res.Remined, want)
+		}
+		if all, err = all.Concat(batch.ds); err != nil {
+			t.Fatal(err)
+		}
+		rules := make([][]Condition, len(res.Rules))
+		for j, r := range res.Rules {
+			rules[j] = r.Conditions
+		}
+		_, kl, err := (&Dataset{ds: all}).Fit(rules)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.KL != kl {
+			t.Errorf("append %d (remined=%v): KL = %v, Fit on the accumulated data gives %v", i+1, res.Remined, res.KL, kl)
+		}
+	}
 }
