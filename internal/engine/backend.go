@@ -12,9 +12,11 @@ import (
 // Backend is the execution substrate the SIRUM dataflow runs on. The
 // algorithm layer (miner, cube, candgen, explore) is written against this
 // interface only. A Backend schedules: it runs stages and holds the
-// registry, cache budget and dataset pool queries share. It does not price
-// anything. Operators record the work they do on Reg(), and only SimBackend
-// turns those counts into time (SimBackend.price; read it via SimTime).
+// registry and cache budget queries share. It holds no datasets: cached
+// blocks belong to whoever cached them (a miner.Prep owns its session's
+// canonical blocks, a query its fork). It does not price anything.
+// Operators record the work they do on Reg(), and only SimBackend turns
+// those counts into time (SimBackend.price; read it via SimTime).
 // Two implementations are provided:
 //
 //   - SimBackend reproduces the thesis' distributed deployment in-process:
@@ -49,10 +51,6 @@ type Backend interface {
 	RunStage(name string, n int, task func(i int))
 	// TotalMemory returns the backend-wide cache budget for cached blocks.
 	TotalMemory() int64
-	// Pool returns the backend's prepared-dataset pool: the cache that lets
-	// one long-lived backend hold several prepared (loaded and partitioned)
-	// datasets across queries, with LRU eviction.
-	Pool() *DataPool
 	// Close releases spill files and other resources; the backend is
 	// unusable afterwards.
 	Close() error

@@ -66,8 +66,9 @@ type CachedData struct {
 }
 
 // cachedDataSeq hands out the uids that keep spill file names of distinct
-// CachedData apart: a long-lived backend now hosts many prepared datasets
-// and per-query forks, which would otherwise collide on block-<i> names.
+// CachedData apart: one backend hosts the canonical blocks of every session
+// prepared on it and each query's fork, which would otherwise collide on
+// block-<i> names.
 var cachedDataSeq atomic.Int64
 
 // CacheTuples registers blocks with the backend's cache budget. Blocks are
@@ -342,8 +343,9 @@ func (cd *CachedData) Fork(b Backend) (*CachedData, error) {
 // reads on a dropped cache fail with an error; when every block was
 // resident the blocks remain readable (nothing to reclaim eagerly — forks
 // and late readers sharing their columns stay valid, and the garbage
-// collector does the rest). The pool only drops entries no query
-// references, so queries never observe the transition mid-scan.
+// collector does the rest). An owner shared by concurrent readers must keep
+// Drop from overlapping their reads: miner.Prep drops its canonical blocks
+// only while no query is forking them, and a fork keeps the columns it read.
 func (cd *CachedData) Drop() {
 	cd.mu.Lock()
 	defer cd.mu.Unlock()

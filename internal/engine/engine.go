@@ -52,7 +52,6 @@ type Config struct {
 	ShuffleToDisk     bool          // materialize shuffle data on disk (MapReduce-style)
 	RealParallelism   int           // actual concurrent goroutines (defaults to NumCPU)
 	SlowNodeFactor    float64       // executor 0 runs this much slower; <=1 disables
-	PoolLimit         int           // prepared datasets retained in the backend's DataPool (default DefaultPoolLimit); size up for servers holding many sessions on one backend
 }
 
 func (c Config) withDefaults() Config {
@@ -77,9 +76,6 @@ func (c Config) withDefaults() Config {
 	if c.MemoryPerExecutor <= 0 {
 		c.MemoryPerExecutor = 1 << 40 // effectively unlimited
 	}
-	if c.PoolLimit <= 0 {
-		c.PoolLimit = DefaultPoolLimit
-	}
 	return c
 }
 
@@ -89,7 +85,6 @@ func (c Config) withDefaults() Config {
 type SimBackend struct {
 	conf Config
 	reg  *metrics.Registry
-	pool *DataPool
 
 	stageMu    sync.Mutex
 	stageClock time.Duration // makespans plus StageOverhead, per RunStage
@@ -107,7 +102,6 @@ func NewSimBackend(conf Config) *SimBackend {
 	return &SimBackend{
 		conf: conf,
 		reg:  metrics.NewRegistry(),
-		pool: newDataPool(conf.PoolLimit),
 		sem:  make(chan struct{}, conf.RealParallelism),
 	}
 }
@@ -120,9 +114,6 @@ func (c *SimBackend) Config() Config { return c.conf }
 
 // Reg returns the lifetime metrics registry.
 func (c *SimBackend) Reg() *metrics.Registry { return c.reg }
-
-// Pool returns the prepared-dataset pool.
-func (c *SimBackend) Pool() *DataPool { return c.pool }
 
 // Close removes any spill files. The backend is unusable afterwards.
 func (c *SimBackend) Close() error { return c.spill.cleanup() }

@@ -19,7 +19,6 @@ import (
 type NativeBackend struct {
 	conf    Config
 	reg     *metrics.Registry
-	pool    *DataPool
 	workers int
 	spill   spiller
 	cols    columnArena
@@ -43,7 +42,6 @@ func NewNativeBackend(conf Config) *NativeBackend {
 	return &NativeBackend{
 		conf:    conf,
 		reg:     metrics.NewRegistry(),
-		pool:    newDataPool(conf.PoolLimit),
 		workers: conf.RealParallelism,
 	}
 }
@@ -56,9 +54,6 @@ func (b *NativeBackend) Config() Config { return b.conf }
 
 // Reg returns the metrics registry.
 func (b *NativeBackend) Reg() *metrics.Registry { return b.reg }
-
-// Pool returns the prepared-dataset pool.
-func (b *NativeBackend) Pool() *DataPool { return b.pool }
 
 // Close removes any spill files. The backend is unusable afterwards.
 func (b *NativeBackend) Close() error { return b.spill.cleanup() }

@@ -67,9 +67,6 @@ func (s *QueryScope) runStage(reg *metrics.Registry, name string, n int, task fu
 // TotalMemory returns the shared cache budget.
 func (s *QueryScope) TotalMemory() int64 { return s.base.TotalMemory() }
 
-// Pool returns the shared prepared-dataset pool.
-func (s *QueryScope) Pool() *DataPool { return s.base.Pool() }
-
 // Finish returns the query's arena borrows — fork columns and scratch
 // structures — to the shared backend. Call once when the query completes.
 func (s *QueryScope) Finish() {

@@ -25,18 +25,17 @@
 // what the result cache stores, so a stray stock-encoder call would either
 // bypass the cache or cache bytes the hot path cannot re-serve.
 //
-// pairedlifecycle — a call whose results include an *engine.Ref (DataPool
-// Put/Acquire), an *engine.QueryScope (NewQueryScope), a *cube.PackedTable
-// (BorrowTable) or a *sirum.Prepared (Dataset.Prepare) must pair it with
-// Release / Finish / Close in the same function: deferred, called on every
-// path, or handed off (returned, stored, or passed along, which transfers
-// the obligation to the receiver). Unreleased refs pin pool entries and
-// their spill files forever (the PR 3 lifecycle bug class); unfinished
-// scopes drop a query's operator metrics from the session's lifetime
-// totals; unreleased tables silently fall out of the scratch arena, turning
-// the cube's zero-allocation steady state back into an allocation storm;
-// an unclosed Prepared leaks a whole mining substrate on the session
-// rebuild paths (create, snapshot restore, migration import).
+// pairedlifecycle — a call whose results include an *engine.QueryScope
+// (NewQueryScope), a *cube.PackedTable (BorrowTable) or a *sirum.Prepared
+// (Dataset.Prepare) must pair it with Finish / Release / Close in the same
+// function: deferred, called on every path, or handed off (returned,
+// stored, or passed along, which transfers the obligation to the
+// receiver). Unfinished scopes keep a query's borrowed fork columns and
+// scratch out of the backend's arena; unreleased tables silently fall out
+// of the scratch arena, turning the cube's zero-allocation steady state back
+// into an allocation storm; an unclosed Prepared leaks a whole mining
+// substrate on the session rebuild paths (create, snapshot restore,
+// migration import).
 //
 // errprefix — fmt.Errorf / errors.New message literals in internal/rule must
 // carry the "rule: " prefix and in internal/cube the "cube: " prefix. The

@@ -19,12 +19,11 @@ type lifecycleSpec struct {
 }
 
 // lifecycleSpecs maps the tracked lifecycle types to the methods that
-// discharge them: engine pool references and query scopes, the cube's
+// discharge them: engine query scopes, the cube's
 // arena-borrowed tables, and prepared sessions (whose rebuild paths —
 // create, restore, import — must Close on every non-handoff path or leak
 // a whole prepared substrate).
 var lifecycleSpecs = map[lifecycleType]lifecycleSpec{
-	{"engine", "Ref"}:        {closers: map[string]bool{"Release": true}, done: "Released", names: "Release"},
 	{"engine", "QueryScope"}: {closers: map[string]bool{"Finish": true, "Close": true}, done: "Finished", names: "Finish/Close"},
 	{"cube", "PackedTable"}:  {closers: map[string]bool{"Release": true}, done: "Released", names: "Release"},
 	{"sirum", "Prepared"}:    {closers: map[string]bool{"Close": true}, done: "Closed", names: "Close"},
@@ -33,7 +32,7 @@ var lifecycleSpecs = map[lifecycleType]lifecycleSpec{
 func pairedLifecycleCheck() *Check {
 	return &Check{
 		Name: "pairedlifecycle",
-		Doc:  "engine.Ref / QueryScope, cube.PackedTable and sirum.Prepared acquisitions must be released in the same function or handed off",
+		Doc:  "engine.QueryScope, cube.PackedTable and sirum.Prepared acquisitions must be released in the same function or handed off",
 		Run:  runPairedLifecycle,
 	}
 }

@@ -1,28 +1,18 @@
 // Minimal stand-in for sirum/internal/engine: just enough surface for the
 // pairedlifecycle fixtures to type-check. The check matches lifecycle types
 // by package name and type name, so this package must be named engine and
-// declare Ref and QueryScope.
+// declare QueryScope.
 package engine
 
-type CachedData struct{}
-
-type Ref struct{}
-
-func (r *Ref) Release() {}
-
-type DataPool struct{}
-
-func (p *DataPool) Acquire(id string) (*CachedData, *Ref, bool) { return &CachedData{}, &Ref{}, true }
-
-func (p *DataPool) Put(id string, cd *CachedData) (*CachedData, *Ref) { return cd, &Ref{} }
-
 type Backend interface {
-	Pool() *DataPool
+	Name() string
 }
 
 type QueryScope struct{}
 
 func NewQueryScope(b Backend) *QueryScope { return &QueryScope{} }
+
+func (s *QueryScope) Base() Backend { return nil }
 
 func (s *QueryScope) Finish() {}
 

@@ -1,12 +1,18 @@
 // Fixture for the pairedlifecycle check: every acquisition of an
-// *engine.Ref or *engine.QueryScope must be discharged — deferred, released
-// on all paths, or handed off.
+// *engine.QueryScope must be discharged — deferred, finished on all paths,
+// or handed off.
 package miner
 
 import "sirum/internal/engine"
 
 type holder struct {
-	ref *engine.Ref
+	qc *engine.QueryScope
+}
+
+// scoped acquires a scope alongside a second result, so the fixtures cover
+// lifecycle values bound from multi-result calls.
+func scoped(b engine.Backend) (*engine.QueryScope, bool) {
+	return engine.NewQueryScope(b), true
 }
 
 func leakScope(b engine.Backend) {
@@ -24,71 +30,76 @@ func closedScope(b engine.Backend) {
 	defer qc.Close()
 }
 
-func leakRef(p *engine.DataPool) int {
-	_, ref, ok := p.Acquire("x") // want:pairedlifecycle "never Released"
+func leak(b engine.Backend) int {
+	qc, ok := scoped(b) // want:pairedlifecycle "never Finished"
 	if !ok {
 		return 0
 	}
-	_ = ref
+	_ = qc
 	return 1
 }
 
-func discarded(p *engine.DataPool) bool {
-	_, _, ok := p.Acquire("x") // want:pairedlifecycle "discarded"
+func readThrough(b engine.Backend) engine.Backend {
+	qc := engine.NewQueryScope(b) // want:pairedlifecycle "never Finished"
+	return qc.Base()              // reading through the scope does not hand it off
+}
+
+func discarded(b engine.Backend) bool {
+	_, ok := scoped(b) // want:pairedlifecycle "discarded"
 	return ok
 }
 
-func errPath(p *engine.DataPool, fail bool) bool {
-	_, ref, _ := p.Acquire("x") // want:pairedlifecycle "not released on all paths"
+func errPath(b engine.Backend, fail bool) bool {
+	qc, _ := scoped(b) // want:pairedlifecycle "not released on all paths"
 	if fail {
 		return false
 	}
-	ref.Release()
+	qc.Finish()
 	return true
 }
 
-func linear(p *engine.DataPool) {
-	_, ref, _ := p.Acquire("x") // ok: released before the function ends
-	ref.Release()
+func linear(b engine.Backend) {
+	qc, _ := scoped(b) // ok: finished before the function ends
+	qc.Finish()
 }
 
-func releaseThenReturn(p *engine.DataPool, fail bool) bool {
-	_, ref, _ := p.Acquire("x") // ok: released before every return
-	ref.Release()
+func releaseThenReturn(b engine.Backend, fail bool) bool {
+	qc, _ := scoped(b) // ok: finished before every return
+	qc.Finish()
 	if fail {
 		return false
 	}
 	return true
 }
 
-func escapes(p *engine.DataPool) (*engine.CachedData, func(), bool) {
-	cd, ref, ok := p.Acquire("x")
-	return cd, ref.Release, ok // ok: obligation handed to the caller
+func escapes(b engine.Backend) (func(), bool) {
+	qc, ok := scoped(b)
+	return qc.Finish, ok // ok: obligation handed to the caller
 }
 
-func escapesValue(p *engine.DataPool) *engine.Ref {
-	_, ref, _ := p.Acquire("x")
-	return ref // ok: handed off
+func escapesValue(b engine.Backend) *engine.QueryScope {
+	qc := engine.NewQueryScope(b)
+	return qc // ok: handed off
 }
 
-func deferClosure(p *engine.DataPool) {
-	_, ref, _ := p.Acquire("x") // ok: released via deferred closure
-	defer func() { ref.Release() }()
+func deferClosure(b engine.Backend) {
+	qc := engine.NewQueryScope(b) // ok: finished via deferred closure
+	defer func() { qc.Finish() }()
 }
 
-func stored(p *engine.DataPool, h *holder) {
-	_, ref, _ := p.Acquire("x")
-	h.ref = ref // ok: stored; the holder owns it now
+func stored(b engine.Backend, h *holder) {
+	qc := engine.NewQueryScope(b)
+	h.qc = qc // ok: stored; the holder owns it now
 }
 
-func handoff(p *engine.DataPool) {
-	_, ref, _ := p.Acquire("x")
-	hand(ref) // ok: passed along
+func handoff(b engine.Backend) {
+	qc := engine.NewQueryScope(b)
+	hand(qc) // ok: passed along
 }
 
-func putEscapes(p *engine.DataPool, cd *engine.CachedData) (*engine.CachedData, func()) {
-	pooled, ref := p.Put("x", cd)
-	return pooled, ref.Release // ok
+func putEscapes(b engine.Backend) (engine.Backend, func()) {
+	qc := engine.NewQueryScope(b)
+	return qc.Base(), qc.Finish // ok: the method value hands it off
 }
 
 func suppressed(b engine.Backend) {
@@ -97,4 +108,4 @@ func suppressed(b engine.Backend) {
 	_ = qc
 }
 
-func hand(*engine.Ref) {}
+func hand(*engine.QueryScope) {}

@@ -23,12 +23,7 @@ func memoBenchFork(b *testing.B) (engine.Backend, *engine.CachedData, candgen.Pa
 		b.Fatal(err)
 	}
 	b.Cleanup(p.Drop)
-	cd, release, err := p.ensureData(c)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer release()
-	data, err := cd.Fork(c)
+	data, err := p.fork(c)
 	if err != nil {
 		b.Fatal(err)
 	}

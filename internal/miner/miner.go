@@ -284,13 +284,8 @@ func newQuery(p *Prep, qc engine.Backend, opt Options) (*query, error) {
 		}
 	}
 
-	err := q.timed(metrics.PhaseDataLoad, func() error {
-		cd, release, err := p.ensureData(qc)
-		if err != nil {
-			return err
-		}
-		defer release()
-		q.data, err = cd.Fork(qc)
+	err := q.timed(metrics.PhaseDataLoad, func() (err error) {
+		q.data, err = p.fork(qc)
 		return err
 	})
 	if err != nil {

@@ -13,7 +13,9 @@
 // packed schemas, the frozen lattice (lattice.go, cube.Lattice) — and every
 // round of every query only gathers leaf Σm̂ and replays the lattice's edges.
 // See Prep for what is shared, what invalidates it and what it costs;
-// PrepOptions.DisableLCAMemo switches all of it off.
+// PrepOptions.DisableLCAMemo switches all of it off. A Prep owns its cached
+// data blocks, whichever backend it shares: Prep.Drop releases them, and the
+// next query reloads them.
 package miner
 
 import (

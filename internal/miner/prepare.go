@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"sirum/internal/candgen"
@@ -55,17 +54,19 @@ func (o PrepOptions) withDefaults() PrepOptions {
 // so tests can lower it.
 var memoMaxEntries = 32 << 20
 
-// prepSeq names prepared datasets uniquely in the backend's pool.
-var prepSeq atomic.Int64
-
 // Prep is the prepare-once state of a mining session over one dataset on
 // one (possibly shared) backend: the measure transform, the partitioned
-// blocks cached in the backend's pool, the pruning sample with its inverted
+// blocks it owns in the backend's cache, the pruning sample with its inverted
 // index, and (lazily) everything about rule generation that does not depend
 // on the estimates. Many queries — Mine with different K, variants, priors —
 // run against one Prep concurrently: all prepared state is immutable after
 // construction, and every query works on a private fork of the estimate
 // columns with a private metrics scope.
+//
+// The Prep alone owns its canonical blocks; the backend keeps no list of
+// prepared datasets. Drop releases them, and the next query reloads them
+// and pays for the load (disk_read_bytes and the data_load phase) the way a
+// cold run does.
 //
 // Build once, replay every round. A candidate space — the LCAs of the
 // prepared sample, or, for exhaustive queries, the data tuples themselves —
@@ -101,12 +102,15 @@ type Prep struct {
 	parts     int
 	sample    *candgen.Sample // nil when SampleSize is 0
 	packer    *rule.Packer    // non-nil when the schema packs into 64-bit keys
-	poolID    string
 
 	indexOnce sync.Once
 	index     *candgen.InvertedIndex // built on first indexed use; nil without a sample
 
-	loadMu sync.Mutex // serializes (re)loading the blocks into the pool
+	// mu guards data, the canonical blocks: nil until loaded and after Drop.
+	// A query holds it shared while it forks the blocks; Drop and a (re)load
+	// hold it exclusively.
+	mu   sync.RWMutex
+	data *engine.CachedData
 
 	// spaces holds the build-once state of the candidate spaces queries can
 	// share, indexed by spaceSample and spaceExhaustive.
@@ -120,25 +124,24 @@ const (
 
 // Prepare runs the preparation phase on c: measure transform, optional
 // Bernoulli data sample, pruning sample + inverted index, and the block load
-// into the backend's prepared-dataset pool. The returned Prep serves many
-// queries; Drop releases the pooled blocks when the session ends.
+// into the backend's cache. The returned Prep serves many queries; Drop
+// releases the blocks when the session ends.
 func Prepare(c engine.Backend, ds *dataset.Dataset, opt PrepOptions) (*Prep, error) {
 	p, err := prepare(c, ds, opt)
 	if err != nil {
 		return nil, err
 	}
-	// Load eagerly so the first query pays no preparation cost.
-	_, release, err := p.ensureData(c)
-	if err != nil {
+	// Load eagerly so the first query pays no preparation cost. No query can
+	// reach p yet, so the lock is not needed.
+	if err := p.load(c); err != nil {
 		return nil, err
 	}
-	release()
 	return p, nil
 }
 
 // prepare builds the Prep without loading blocks: the load happens lazily in
-// ensureData, charged to whichever query triggers it (for cold runs, the one
-// and only query, so its result covers the whole run).
+// fork, charged to whichever query triggers it (for cold runs, the one and
+// only query, so its result covers the whole run).
 func prepare(c engine.Backend, ds *dataset.Dataset, opt PrepOptions) (*Prep, error) {
 	if s, ok := c.(*engine.QueryScope); ok {
 		c = s.Base()
@@ -176,7 +179,6 @@ func prepare(c engine.Backend, ds *dataset.Dataset, opt PrepOptions) (*Prep, err
 	// fall back to string keys otherwise. Recomputed on every (re)prepare, so
 	// appends that grow a dictionary past a field boundary stay correct.
 	p.packer, _ = rule.NewPacker(p.ds.DomainSizes())
-	p.poolID = fmt.Sprintf("prep-%d", prepSeq.Add(1))
 	return p, nil
 }
 
@@ -212,39 +214,53 @@ func (p *Prep) Mine(opt Options) (*Result, error) {
 	return p.mineScoped(qc, opt.withDefaults(), time.Now(), engine.SimTime(qc))
 }
 
-// Drop releases the pooled blocks and every candidate space's memo and
-// lattice. Queries already in flight finish (they hold forks and their
-// lattice); later queries re-prepare on demand.
+// Drop releases the blocks and every candidate space's memo and lattice.
+// Queries already in flight finish (they hold forks and their lattice); the
+// next query reloads the blocks and pays for the load.
 func (p *Prep) Drop() {
-	p.c.Pool().Remove(p.poolID)
+	p.mu.Lock()
+	if p.data != nil {
+		p.data.Drop()
+		p.data = nil
+	}
+	p.mu.Unlock()
 	for i := range p.spaces {
 		p.spaces[i].drop()
 	}
 }
 
-// ensureData returns the canonical cached blocks with a pool reference held
-// (callers must invoke the returned release). If the pool evicted them — a
-// shared backend holds only so many prepared datasets — they are rebuilt,
-// charging the load to qc.
-func (p *Prep) ensureData(qc engine.Backend) (*engine.CachedData, func(), error) {
-	pool := p.c.Pool()
-	if cd, ref, ok := pool.Acquire(p.poolID); ok {
-		return cd, ref.Release, nil
+// fork returns a private fork of the canonical blocks for query scope qc,
+// first reloading them if Drop released them.
+func (p *Prep) fork(qc engine.Backend) (*engine.CachedData, error) {
+	p.mu.RLock()
+	if p.data != nil {
+		defer p.mu.RUnlock()
+		return p.data.Fork(qc)
 	}
-	p.loadMu.Lock()
-	defer p.loadMu.Unlock()
-	if cd, ref, ok := pool.Acquire(p.poolID); ok {
-		return cd, ref.Release, nil
+	p.mu.RUnlock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if err := p.load(qc); err != nil {
+		return nil, err
+	}
+	return p.data.Fork(qc)
+}
+
+// load caches the canonical blocks unless they are already loaded, charging
+// the read from the distributed file system to qc. The caller holds p.mu
+// exclusively.
+func (p *Prep) load(qc engine.Backend) error {
+	if p.data != nil {
+		return nil
 	}
 	blocks := engine.BlocksFromColumns(p.ds.Dims, p.work, nil, p.parts)
-	// Initial read from the distributed file system.
 	qc.Reg().Add(metrics.CtrDiskReadBytes, p.dataBytes)
 	data, err := engine.CacheTuples(p.c, blocks)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	data, ref := pool.Put(p.poolID, data)
-	return data, ref.Release, nil
+	p.data = data
+	return nil
 }
 
 // sharedSpace returns the prepared candidate space a query with the given

@@ -1,15 +1,19 @@
 package miner
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
+	"time"
 
 	"sirum/internal/candgen"
 	"sirum/internal/datagen"
 	"sirum/internal/engine"
+	"sirum/internal/metrics"
 )
 
 // assertSameRules compares two runs of the same job.
@@ -71,13 +75,12 @@ func TestPreparedMatchesColdAcrossVariants(t *testing.T) {
 	}
 }
 
-// TestPreparedSurvivesPoolEviction: with a pool limit of 1, alternating
-// queries over two prepared datasets keep evicting each other's blocks; the
-// sessions must transparently rebuild and still answer correctly.
-func TestPreparedSurvivesPoolEviction(t *testing.T) {
+// TestTwoPrepsShareOneBackend: two sessions prepared on one backend answer
+// interleaved queries independently, and one that is dropped reloads its
+// blocks on its next query while the other keeps serving.
+func TestTwoPrepsShareOneBackend(t *testing.T) {
 	c := testCluster()
 	defer c.Close()
-	c.Pool().SetLimit(1)
 	dsA := datagen.GDELT(1200, 7)
 	dsB := datagen.Income(1200, 8)
 	pA, err := Prepare(c, dsA, PrepOptions{SampleSize: 8, Seed: 3})
@@ -90,9 +93,6 @@ func TestPreparedSurvivesPoolEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pB.Drop()
-	if got := c.Pool().Len(); got != 1 {
-		t.Fatalf("pool holds %d prepared datasets, limit 1", got)
-	}
 	opt := Options{Variant: Optimized, K: 3, SampleSize: 8, Seed: 3}
 	coldA := mineDataset(t, dsA, opt)
 	coldB := mineDataset(t, dsB, opt)
@@ -107,6 +107,95 @@ func TestPreparedSurvivesPoolEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertSameRules(t, "B", coldB, gotB)
+		if round == 0 {
+			pA.Drop()
+		}
+	}
+}
+
+// TestDataLoadChargedToTheLoadingQuery pins who pays for reading the data:
+// a cold run loads it, a query on a prepared session finds it loaded, and
+// the first query after Drop loads it again. The simulated data_load phase
+// is compared, because the wall-clock one also times the query's fork.
+func TestDataLoadChargedToTheLoadingQuery(t *testing.T) {
+	ds := datagen.Income(1500, 4)
+	opt := Options{Variant: Optimized, K: 2, SampleSize: 8, Seed: 2}
+	assertLoad := func(label string, res *Result, loaded bool) {
+		t.Helper()
+		bytes, simLoad := res.Counters[metrics.CtrDiskReadBytes], res.SimPhases[metrics.PhaseDataLoad]
+		if loaded && (bytes != ds.ApproxBytes() || simLoad <= 0 || res.Phases[metrics.PhaseDataLoad] <= 0) {
+			t.Errorf("%s: disk_read_bytes %d (want %d), data_load %v sim %v, want a charged load",
+				label, bytes, ds.ApproxBytes(), res.Phases[metrics.PhaseDataLoad], simLoad)
+		}
+		if !loaded && (bytes != 0 || simLoad != 0) {
+			t.Errorf("%s: disk_read_bytes %d, sim data_load %v, want no load", label, bytes, simLoad)
+		}
+	}
+	assertLoad("cold run", mineDataset(t, ds, opt), true)
+
+	c := testCluster()
+	defer c.Close()
+	p := mustPrepare(t, c, ds, PrepOptions{SampleSize: 8, Seed: 2})
+	assertLoad("prepared query", mustMine(t, p, opt), false)
+	p.Drop()
+	assertLoad("query after Drop", mustMine(t, p, opt), true)
+	assertLoad("query after reload", mustMine(t, p, opt), false)
+}
+
+// TestPrepConcurrentDropAndQueries races Drop against queries on one Prep
+// whose blocks spill (the cache budget is far below the data), so a fork
+// that read a dropped cache would fail: every query must still answer the
+// cold run's rules.
+func TestPrepConcurrentDropAndQueries(t *testing.T) {
+	ds := datagen.Income(2000, 6)
+	conf := engine.Config{Executors: 1, MemoryPerExecutor: 20 << 10, Partitions: 8}
+	opt := Options{Variant: Optimized, K: 3, SampleSize: 16, Seed: 2}
+	coldBackend := engine.NewNativeBackend(conf)
+	defer coldBackend.Close()
+	cold, err := New(coldBackend, ds, opt).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	c := engine.NewNativeBackend(conf)
+	defer c.Close()
+	p := mustPrepare(t, c, ds, PrepOptions{SampleSize: 16, Seed: 2})
+	const queriers, queries, drops = 6, 3, 20
+	var wg sync.WaitGroup
+	results := make([][]*Result, queriers)
+	errs := make([]error, queriers+1)
+	for g := range queriers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range queries {
+				res, err := p.Mine(opt)
+				if err != nil {
+					errs[g] = err
+					return
+				}
+				results[g] = append(results[g], res)
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for range drops {
+			time.Sleep(time.Millisecond) // spread the drops over the queries
+			p.Drop()
+		}
+	}()
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for g, rs := range results {
+		for i, res := range rs {
+			assertSameRules(t, fmt.Sprintf("querier %d query %d", g, i), cold, res)
+		}
 	}
 }
 
@@ -192,12 +281,7 @@ func TestLCAMemoBuildIsDeterministic(t *testing.T) {
 	c := testCluster()
 	defer c.Close()
 	p := mustPrepare(t, c, ds, PrepOptions{SampleSize: 16, Seed: 3})
-	cd, release, err := p.ensureData(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer release()
-	data, err := cd.Fork(c)
+	data, err := p.fork(c)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,6 @@ type PrepareSpec struct {
 	Seed           int64   `json:"seed,omitempty"`
 	SampleFraction float64 `json:"sample_fraction,omitempty"`
 	Executors      int     `json:"executors,omitempty"`
-	PoolLimit      int     `json:"pool_limit,omitempty"`
 	Backend        string  `json:"backend,omitempty"` // native|sim
 	RemineFactor   float64 `json:"remine_factor,omitempty"`
 }
@@ -41,7 +40,7 @@ func (p PrepareSpec) options() sirum.PrepareOptions {
 		SampleSize:     p.SampleSize,
 		Seed:           p.Seed,
 		SampleFraction: p.SampleFraction,
-		Cluster:        sirum.Cluster{Executors: p.Executors, PoolLimit: p.PoolLimit},
+		Cluster:        sirum.Cluster{Executors: p.Executors},
 		Backend:        sirum.Backend(p.Backend),
 		RemineFactor:   p.RemineFactor,
 	}

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -277,6 +278,10 @@ func TestServerErrorMapping(t *testing.T) {
 		{"append ragged row", "POST", "/v1/datasets/d/append", AppendRequest{
 			Rows: []RowJSON{{Dims: []string{"just-one"}, Measure: 1}},
 		}, http.StatusBadRequest},
+		// pool_limit was retired: a create carrying it is an unknown field.
+		{"retired pool_limit", "POST", "/v1/datasets", json.RawMessage(
+			`{"generator":{"name":"flights"},"prepare":{"pool_limit":4}}`,
+		), http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -879,6 +884,8 @@ func TestServerSnapshotRestart(t *testing.T) {
 	if err := s1.Close(); err != nil {
 		t.Fatal(err)
 	}
+	// A manifest journaled before pool_limit was retired still restores.
+	addRetiredPrepareField(t, filepath.Join(dir, "gen.session.json"))
 
 	s2 := New(Config{SnapshotDir: dir})
 	n, err := s2.Restore()
@@ -938,6 +945,29 @@ func TestServerSnapshotRestart(t *testing.T) {
 	}
 	if auto.ID == "gen" || auto.ID == "csv" {
 		t.Errorf("auto id collided with restored session: %q", auto.ID)
+	}
+}
+
+// addRetiredPrepareField rewrites a session manifest so that its prepare
+// options carry the retired "pool_limit" field, as manifests journaled by
+// older servers do.
+func addRetiredPrepareField(t *testing.T, path string) {
+	t.Helper()
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(buf, &m); err != nil {
+		t.Fatal(err)
+	}
+	prep, ok := m["prepare"].(map[string]any)
+	if !ok {
+		t.Fatalf("manifest %s has no prepare object: %s", path, buf)
+	}
+	prep["pool_limit"] = 4
+	if err := os.WriteFile(path, mustJSON(t, m), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -188,11 +188,6 @@ type SessionStats struct {
 	Fingerprint string `json:"fingerprint"`
 	// Backend names the execution substrate ("native", "sim").
 	Backend string `json:"backend"`
-	// PooledDatasets is how many prepared datasets the session's backend
-	// currently retains, out of a limit of PoolLimit (several sessions may
-	// share a backend's pool).
-	PooledDatasets int `json:"pooled_datasets"`
-	PoolLimit      int `json:"pool_limit"`
 	// Lifetime aggregates counters and phase durations across all queries
 	// answered on this session's substrate, unlike Result.Metrics which
 	// isolates one query.
@@ -206,12 +201,10 @@ func (p *Prepared) Stats() SessionStats {
 	defer p.mu.RUnlock()
 	snap := p.cl.Reg().Snapshot()
 	return SessionStats{
-		Rows:           p.d.NumRows(),
-		Epoch:          p.epoch,
-		Fingerprint:    spec.Hex(p.dsSpec.Fingerprint()),
-		Backend:        p.backendName(),
-		PooledDatasets: p.cl.Pool().Len(),
-		PoolLimit:      p.cl.Pool().Limit(),
+		Rows:        p.d.NumRows(),
+		Epoch:       p.epoch,
+		Fingerprint: spec.Hex(p.dsSpec.Fingerprint()),
+		Backend:     p.backendName(),
 		Lifetime: QueryMetrics{
 			Counters:  snap.Counters,
 			Phases:    snap.Phases,

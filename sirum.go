@@ -213,11 +213,6 @@ type Cluster struct {
 	Executors        int   // virtual worker nodes (default 4)
 	CoresPerExecutor int   // task slots per node (default 2)
 	MemoryPerNode    int64 // bytes of cache per node (default: unbounded)
-	// PoolLimit is how many prepared datasets the substrate retains across
-	// sessions before LRU-evicting (default 8). Servers that multiplex many
-	// prepared sessions onto long-lived backends should size this to the
-	// number of datasets they expect to keep hot.
-	PoolLimit int
 }
 
 func (c Cluster) config() engine.Config {
@@ -225,7 +220,6 @@ func (c Cluster) config() engine.Config {
 		Executors:         c.Executors,
 		CoresPerExecutor:  c.CoresPerExecutor,
 		MemoryPerExecutor: c.MemoryPerNode,
-		PoolLimit:         c.PoolLimit,
 	}
 	if conf.Executors <= 0 {
 		conf.Executors = 4
