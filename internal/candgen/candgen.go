@@ -16,10 +16,9 @@ package candgen
 
 import (
 	"cmp"
-	"container/heap"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"sirum/internal/cube"
 	"sirum/internal/dataset"
@@ -404,30 +403,91 @@ type Candidate[K cmp.Ordered] struct {
 	Agg  cube.Agg
 }
 
-// candHeap is a min-heap by gain used for per-partition top-n.
+// candHeap is a min-heap by gain used for per-partition top-n. Its sifts are
+// container/heap's, step for step, so a partition keeps the same members
+// among equal gains as a heap.Interface would; typed, they box nothing.
 type candHeap[K cmp.Ordered] []Candidate[K]
 
-func (h candHeap[K]) Len() int           { return len(h) }
-func (h candHeap[K]) Less(i, j int) bool { return h[i].Gain < h[j].Gain }
-func (h candHeap[K]) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *candHeap[K]) Push(x any)        { *h = append(*h, x.(Candidate[K])) }
-func (h *candHeap[K]) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+// consider scores a candidate with the information-gain estimate (Equation
+// 2.2) and offers it when the gain is positive. The gain is positive only
+// when Σm > Σm̂, so other candidates skip the logarithm. And ln x ≤ x − 1
+// bounds it by Σm·(Σm − Σm̂)/Σm̂, so once the heap is full a candidate whose
+// bound falls clearly short of the heap's minimum skips it too: short by a
+// relative 1e-9, far above the bound's few ulps of rounding, plus Σm·1e-14,
+// far above the logarithm's absolute rounding (≈ 1e-16) times Σm, so a
+// skipped candidate's computed gain could never have entered the heap.
+func (h *candHeap[K]) consider(n int, key K, agg cube.Agg) {
+	if !(agg.SumM > agg.SumMhat) {
+		return
+	}
+	if len(*h) == n && agg.SumMhat > 0 {
+		bound := agg.SumM * (agg.SumM - agg.SumMhat) / agg.SumMhat
+		if bound*(1+1e-9)+agg.SumM*1e-14 < (*h)[0].Gain {
+			return
+		}
+	}
+	if g := maxent.Gain(agg.SumM, agg.SumMhat); g > 0 {
+		h.offer(n, Candidate[K]{Key: key, Gain: g, Agg: agg})
+	}
 }
-func (h candHeap[K]) Peek() Candidate[K] { return h[0] }
 
-// offer keeps c if it belongs to the top n seen so far.
+// offer keeps c if it belongs to the top n seen so far: heap.Push while the
+// heap is short, else, when c beats the minimum, replace it and heap.Fix(0).
 func (h *candHeap[K]) offer(n int, c Candidate[K]) {
 	if len(*h) < n {
-		heap.Push(h, c)
-	} else if c.Gain > h.Peek().Gain {
+		*h = append(*h, c)
+		h.up(len(*h) - 1)
+	} else if c.Gain > (*h)[0].Gain {
 		(*h)[0] = c
-		heap.Fix(h, 0)
+		h.down(0)
 	}
+}
+
+// up is container/heap's up with Less(i, j) = h[i].Gain < h[j].Gain.
+func (h candHeap[K]) up(j int) {
+	for j > 0 {
+		i := (j - 1) / 2
+		if !(h[j].Gain < h[i].Gain) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+// down is container/heap's down over the whole heap.
+func (h candHeap[K]) down(i int) {
+	n := len(h)
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && h[j2].Gain < h[j].Gain {
+			j = j2
+		}
+		if !(h[j].Gain < h[i].Gain) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+}
+
+// sorted orders the heap's candidates by rank — descending gain, ascending
+// key among equal gains — in place, and returns them.
+func (h candHeap[K]) sorted() []Candidate[K] {
+	slices.SortFunc(h, byRank[K])
+	return h
+}
+
+// byRank orders candidates by descending gain, then ascending key: the one
+// deterministic order of every top-k.
+func byRank[K cmp.Ordered](a, b Candidate[K]) int {
+	if c := cmp.Compare(b.Gain, a.Gain); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Key, b.Key)
 }
 
 // TopByGain scores every candidate with the information-gain estimate
@@ -442,36 +502,36 @@ func TopByGain(c engine.Backend, candidates *engine.PColl[map[string]cube.Agg], 
 	tops := engine.MapParts(c, candidates, "candgen/topk", func(_ int, part map[string]cube.Agg) []Candidate[string] {
 		h := make(candHeap[string], 0, n+1)
 		for key, agg := range part {
-			if exclude[key] {
-				continue
+			if !exclude[key] {
+				h.consider(n, key, agg)
 			}
-			g := maxent.Gain(agg.SumM, agg.SumMhat)
-			if g <= 0 {
-				continue
-			}
-			h.offer(n, Candidate[string]{Key: key, Gain: g, Agg: agg})
 		}
-		return h
+		return h.sorted()
 	})
-	return mergeTopK(tops, n)
+	return mergeTopK(tops.Parts(), n)
 }
 
-// mergeTopK merges the per-partition heaps into the global top n, descending
-// gain with a deterministic key tie-break. Gather cost is negligible: n
-// candidates per partition.
-func mergeTopK[K cmp.Ordered](tops *engine.PColl[[]Candidate[K]], n int) []Candidate[K] {
-	var all []Candidate[K]
-	for _, part := range tops.Parts() {
-		all = append(all, part...)
+// mergeTopK merges partitions' candidates, each already in rank order
+// (byRank), into the global top n in that order. Sorting every partition's
+// n candidates on the driver is serial work of up to a quarter of a light
+// exhaustive query, so each partition sorts its own inside its task and the
+// driver only walks the heads: O(n·partitions) comparisons.
+func mergeTopK[K cmp.Ordered](tops [][]Candidate[K], n int) []Candidate[K] {
+	total := 0
+	for _, part := range tops {
+		total += len(part)
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Gain != all[j].Gain {
-			return all[i].Gain > all[j].Gain
+	out := make([]Candidate[K], 0, min(n, total))
+	heads := make([]int, len(tops))
+	for len(out) < cap(out) {
+		best := -1
+		for i, part := range tops {
+			if heads[i] < len(part) && (best < 0 || byRank(part[heads[i]], tops[best][heads[best]]) < 0) {
+				best = i
+			}
 		}
-		return all[i].Key < all[j].Key // deterministic tie-break
-	})
-	if len(all) > n {
-		all = all[:n]
+		out = append(out, tops[best][heads[best]])
+		heads[best]++
 	}
-	return all
+	return out
 }

@@ -5,7 +5,6 @@ import (
 
 	"sirum/internal/cube"
 	"sirum/internal/engine"
-	"sirum/internal/maxent"
 	"sirum/internal/metrics"
 	"sirum/internal/rule"
 )
@@ -154,18 +153,13 @@ func TopByGainTables(c engine.Backend, candidates *engine.PColl[*cube.PackedTabl
 	tops := engine.MapParts(c, candidates, "candgen/topk", func(_ int, part *cube.PackedTable) []Candidate[uint64] {
 		h := make(candHeap[uint64], 0, n+1)
 		part.ForEach(func(key uint64, agg cube.Agg) {
-			if exclude[key] {
-				return
+			if !exclude[key] {
+				h.consider(n, key, agg)
 			}
-			g := maxent.Gain(agg.SumM, agg.SumMhat)
-			if g <= 0 {
-				return
-			}
-			h.offer(n, Candidate[uint64]{Key: key, Gain: g, Agg: agg})
 		})
-		return h
+		return h.sorted()
 	})
-	return mergeTopK(tops, n)
+	return mergeTopK(tops.Parts(), n)
 }
 
 // MatchCounts returns, per candidate key, the number of sample tuples the
@@ -198,17 +192,18 @@ func MatchCounts(c engine.Backend, keys []uint64, s *Sample, codec PackedCodec) 
 
 // SlotCandidates is one round's candidates in the flat layout of a frozen
 // lattice (cube.Lattice): parallel per-slot arrays, of which only SumMhat
-// changes between rounds. Skip, when non-nil, marks slots left out of
-// scoring (redundant ancestors).
+// changes between rounds. Slots, when non-nil, lists in ascending order the
+// only slots scored (an exhaustive lattice's closed slots, or those
+// PruneRedundantAncestors keeps).
 type SlotCandidates struct {
 	Keys                 []uint64
 	SumM, SumMhat, Count []float64
-	Skip                 []bool
+	Slots                []int32
 }
 
-// TopByGainSlots is TopByGainTables over a lattice round: contiguous slot
-// ranges stand in for the table partitions, with identical scoring,
-// exclusion and tie-break semantics.
+// TopByGainSlots is TopByGainTables over a lattice round: contiguous ranges
+// of the scored slots stand in for the table partitions, with identical
+// scoring, exclusion and tie-break semantics.
 func TopByGainSlots(c engine.Backend, cands SlotCandidates, n int, exclude map[uint64]bool) []Candidate[uint64] {
 	if n <= 0 {
 		return nil
@@ -217,19 +212,24 @@ func TopByGainSlots(c engine.Backend, cands SlotCandidates, n int, exclude map[u
 	tops := make([][]Candidate[uint64], parts)
 	c.RunStage("candgen/topk", parts, func(i int) {
 		h := make(candHeap[uint64], 0, n+1)
-		lo, hi := engine.SplitRange(len(cands.Keys), parts, i)
-		for slot := lo; slot < hi; slot++ {
+		offer := func(slot int) {
 			key := cands.Keys[slot]
-			if (cands.Skip != nil && cands.Skip[slot]) || exclude[key] {
-				continue
+			if !exclude[key] {
+				h.consider(n, key, cube.Agg{SumM: cands.SumM[slot], SumMhat: cands.SumMhat[slot], Count: cands.Count[slot]})
 			}
-			g := maxent.Gain(cands.SumM[slot], cands.SumMhat[slot])
-			if g <= 0 {
-				continue
-			}
-			h.offer(n, Candidate[uint64]{Key: key, Gain: g, Agg: cube.Agg{SumM: cands.SumM[slot], SumMhat: cands.SumMhat[slot], Count: cands.Count[slot]}})
 		}
-		tops[i] = h
+		if cands.Slots != nil {
+			lo, hi := engine.SplitRange(len(cands.Slots), parts, i)
+			for _, slot := range cands.Slots[lo:hi] {
+				offer(int(slot))
+			}
+		} else {
+			lo, hi := engine.SplitRange(len(cands.Keys), parts, i)
+			for slot := lo; slot < hi; slot++ {
+				offer(slot)
+			}
+		}
+		tops[i] = h.sorted()
 	})
-	return mergeTopK(engine.NewPColl(tops), n)
+	return mergeTopK(tops, n)
 }

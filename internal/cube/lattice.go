@@ -36,14 +36,24 @@ var ErrLatticeTooLarge = errors.New("cube: candidate lattice exceeds the entry b
 // same program serves Σm and the instance count at build time and Σm̂ every
 // round.
 //
+// Closed lists the slots that are their own closure, the per-field meet of
+// the leaf keys below them; on an exhaustive lattice those are exactly the
+// slots no more specific slot shares its support with.
+//
 // A Lattice is immutable once built and safe for concurrent replays over
 // distinct vectors. It costs 8 bytes per slot for the key, 8 per edge, and
-// 8–16 per slot for the key index kept for Slot lookups.
+// 8–16 per slot for the key index kept for Slot lookups (2–4 int32 entries
+// per slot; up to 8 while the slots are fewer than twice the leaves).
+// Closed's list adds 4 bytes per closed slot to whoever keeps it.
 type Lattice struct {
-	keys  []uint64 // slot → candidate key
-	edges []latticeEdge
+	keys   []uint64 // slot → candidate key
+	leaves int      // slots [0, leaves) are the leaves
+	edges  []latticeEdge
 	// index is an open-addressing table over keys holding slot numbers (-1 =
-	// empty), probed with the PackedTable hash; at most half full.
+	// empty), probed with the PackedTable hash. It starts at four entries
+	// per leaf and doubles whenever it passes half full, so once the slots
+	// outnumber twice the leaves — on any exhaustive lattice — it ends at
+	// the smallest power of two holding two entries per slot.
 	index []int32
 	mask  uint64
 }
@@ -62,7 +72,7 @@ func BuildLattice(pk PackedKeys, leaves []uint64, maxEntries int) (*Lattice, err
 	if total := uint(p.TotalBits()); total < 64 && len(leaves) > 0 && leaves[len(leaves)-1]>>total != 0 {
 		return nil, fmt.Errorf("cube: corrupt packed rule key %#x: bits set beyond the %d-bit layout", leaves[len(leaves)-1], total)
 	}
-	l := &Lattice{keys: append(make([]uint64, 0, 2*len(leaves)), leaves...)}
+	l := &Lattice{keys: append(make([]uint64, 0, 2*len(leaves)), leaves...), leaves: len(leaves)}
 	l.reindex(4 * len(leaves))
 	for j := 0; j < p.NumDims(); j++ {
 		m := p.FieldMask(j)
@@ -82,12 +92,18 @@ func BuildLattice(pk PackedKeys, leaves []uint64, maxEntries int) (*Lattice, err
 	return l, nil
 }
 
-// reindex rebuilds the key index with room for at least n slots.
-func (l *Lattice) reindex(n int) {
+// pow2AtLeast is the smallest power of two ≥ n, and at least minTableCap.
+func pow2AtLeast(n int) int {
 	c := minTableCap
 	for c < n {
 		c *= 2
 	}
+	return c
+}
+
+// reindex rebuilds the key index with room for at least n slots.
+func (l *Lattice) reindex(n int) {
+	c := pow2AtLeast(n)
 	l.index = make([]int32, c)
 	for i := range l.index {
 		l.index[i] = -1
@@ -112,7 +128,7 @@ func (l *Lattice) slotOrAdd(k uint64) int32 {
 			l.keys = append(l.keys, k)
 			l.index[i] = s
 			if 2*len(l.keys) > len(l.index) {
-				l.reindex(4 * len(l.keys))
+				l.reindex(2 * len(l.keys))
 			}
 			return s
 		}
@@ -146,6 +162,52 @@ func (l *Lattice) NumSlots() int { return len(l.keys) }
 
 // NumEdges returns the number of additions one Propagate performs.
 func (l *Lattice) NumEdges() int { return len(l.edges) }
+
+// Closed returns, in ascending order, the slots whose key equals their
+// closure: the per-field meet of the leaf keys below the slot, where a field
+// on which two keys differ becomes all ones (the wildcard) and a field on
+// which they agree keeps its value. The meet runs along the edges the way
+// Propagate adds, so it costs one pass and no key lookups.
+//
+// On an exhaustive lattice — leaves are full-constant data tuples, and every
+// generalization of a leaf is a slot — a slot's closure is the most specific
+// slot with its support, so there is one closed slot per distinct support
+// set, and every other slot covers exactly its closure's rows.
+func (l *Lattice) Closed(pk PackedKeys) []int32 {
+	fields := make([]uint64, pk.P.NumDims())
+	for j := range fields {
+		fields[j] = pk.P.FieldMask(j)
+	}
+	closure := make([]uint64, len(l.keys))
+	copy(closure, l.keys[:l.leaves])
+	// Slots past the leaves were numbered in the order the build appended
+	// their first edge, so that edge is the one reaching next.
+	next := int32(l.leaves)
+	for _, e := range l.edges {
+		c := closure[e.src]
+		if e.dst == next {
+			closure[e.dst] = c
+			next++
+			continue
+		}
+		acc := closure[e.dst]
+		if diff := acc ^ c; diff != 0 {
+			for _, m := range fields {
+				if diff&m != 0 {
+					acc |= m
+				}
+			}
+			closure[e.dst] = acc
+		}
+	}
+	var closed []int32
+	for s, k := range l.keys {
+		if closure[s] == k {
+			closed = append(closed, int32(s))
+		}
+	}
+	return closed
+}
 
 // Propagate turns a vector of per-leaf sums (one entry per slot, zero
 // outside the leaves) into per-candidate sums, in place. Edges are stored

@@ -39,12 +39,18 @@ func (sp *candSpace) drop() {
 // by the sample match count, which is kept so each round can apply the same
 // fix-up to Σm̂. Every round of every query, the building one included, reads
 // its candidates through replayRound, so they all see bit-identical
-// aggregates. Immutable once published, apart from the lazily built
-// redundant-ancestor mask.
+// aggregates. Immutable once published, apart from a sampled lattice's
+// lazily built list of slots PruneRedundantAncestors keeps.
 type lattice struct {
 	*cube.Lattice
 	sumM, count []float64
 	match       []int32 // sample match count per slot; nil when exhaustive
+
+	// closed lists, on an exhaustive lattice, the slots that are their own
+	// closure (cube.Lattice.Closed): one per support set. Every other slot
+	// covers the same rows as its closure, hence the same gain, so rounds
+	// score only these; a query still counts every slot as a candidate.
+	closed []int32
 
 	// With a leaf memo the round's leaf Σm̂ are gathered straight into their
 	// slots: leafSlots lists the slot of every memo key, block after block
@@ -56,9 +62,8 @@ type lattice struct {
 	leafSlots []int32
 	leafOff   []int
 
-	redundantOnce sync.Once
-	redundant     []bool // see redundantMask
-	numRedundant  int
+	keptOnce sync.Once
+	kept     []int32 // a sampled lattice's slots outside redundantMask
 }
 
 // acquireLattice gives the query its space's lattice, building it on first
@@ -97,7 +102,11 @@ func (tr *tableRounds) buildLattice(lcas *engine.PColl[*cube.PackedTable]) (*lat
 		lat.memo = tr.memo
 	}
 	err := q.timed(metrics.PhaseAncestorGen, func() (err error) {
-		q.c.RunStage("cube/freeze", 1, func(int) { err = lat.freeze(pc, lcas) })
+		q.c.RunStage("cube/freeze", 1, func(int) {
+			if err = lat.freeze(pc, lcas); err == nil && q.sample == nil {
+				lat.closed = lat.Closed(pc.PackedKeys)
+			}
+		})
 		return err
 	})
 	if err != nil || q.sample == nil {
@@ -165,24 +174,47 @@ func (lat *lattice) freeze(pc candgen.PackedCodec, lcas *engine.PColl[*cube.Pack
 }
 
 // redundantMask marks candidates with the same support count as one of their
-// children (PruneRedundantAncestors); built by the first query that asks.
-func (lat *lattice) redundantMask(pc candgen.PackedCodec) ([]bool, int) {
-	lat.redundantOnce.Do(func() {
-		lat.redundant = make([]bool, lat.NumSlots())
-		for slot, k := range lat.Keys() {
-			for j := 0; j < pc.NumDims(); j++ {
-				m := pc.P.FieldMask(j)
-				if k&m == m {
-					continue
-				}
-				if parent, ok := lat.Slot(k | m); ok && lat.count[parent] == lat.count[slot] && !lat.redundant[parent] {
-					lat.redundant[parent] = true
-					lat.numRedundant++
-				}
+// children. On an exhaustive lattice a child's rows are a subset of its
+// parent's, so that marks exactly the slots outside closed; on a sampled one
+// counts are divided by match counts and an equal count proves nothing, but
+// PruneRedundantAncestors drops them all the same (Chapter 7).
+func (lat *lattice) redundantMask(pc candgen.PackedCodec) []bool {
+	redundant := make([]bool, lat.NumSlots())
+	for slot, k := range lat.Keys() {
+		for j := 0; j < pc.NumDims(); j++ {
+			m := pc.P.FieldMask(j)
+			if k&m == m {
+				continue
+			}
+			if parent, ok := lat.Slot(k | m); ok && lat.count[parent] == lat.count[slot] {
+				redundant[parent] = true
 			}
 		}
-	})
-	return lat.redundant, lat.numRedundant
+	}
+	return redundant
+}
+
+// scored returns the slots a round scores — nil for all of them — and how
+// many candidates it counts: every slot, or with PruneRedundantAncestors
+// only the scored ones. An exhaustive lattice always scores its closed
+// slots; a sampled one, with the option, those outside redundantMask,
+// listed by the first query that asks.
+func (lat *lattice) scored(pc candgen.PackedCodec, prune bool) ([]int32, int) {
+	slots := lat.closed
+	if lat.match != nil && prune {
+		lat.keptOnce.Do(func() {
+			for slot, r := range lat.redundantMask(pc) {
+				if !r {
+					lat.kept = append(lat.kept, int32(slot))
+				}
+			}
+		})
+		slots = lat.kept
+	}
+	if prune {
+		return slots, len(slots)
+	}
+	return slots, lat.NumSlots()
 }
 
 // replayRound is one rule-generation round over the frozen lattice: gather
@@ -237,11 +269,7 @@ func (tr *tableRounds) replayRound(lcas *engine.PColl[*cube.PackedTable]) (candg
 				}
 			})
 		}
-		if q.opt.PruneRedundantAncestors {
-			var pruned int
-			cands.Skip, pruned = lat.redundantMask(tr.pc)
-			n -= pruned
-		}
+		cands.Slots, n = lat.scored(tr.pc, q.opt.PruneRedundantAncestors)
 		return nil
 	})
 	return cands, int64(n), nil

@@ -83,9 +83,11 @@ var memoMaxEntries = 32 << 20
 // Append replaces the Prep, so grown data never sees a stale lattice);
 // nothing is built inside Prepare itself.
 //
-// A lattice holds about 28 bytes per candidate (key, Σm, count, match
-// count), 8 per edge and 8–16 per candidate of key index, and each in-flight
-// query borrows one 8-byte-per-candidate Σm̂ vector from the backend arena.
+// A lattice holds 24 bytes per candidate (key, Σm, count), 8 per edge and
+// 8–16 per candidate of key index; a sampled one adds a 4-byte match count
+// per candidate, an exhaustive one 4 bytes per closed candidate for its
+// closed list. Each in-flight query borrows one 8-byte-per-candidate Σm̂
+// vector from the backend arena.
 // A leaf memo holds 4 bytes per (row, sample tuple) incidence; a private one
 // lives as long as its query. A space whose memo would pass memoMaxEntries
 // incidences, or whose lattice would pass it in slots plus edges, keeps the

@@ -493,6 +493,66 @@ func TestPreparedExploreSharesExhaustiveLattice(t *testing.T) {
 	}
 }
 
+// TestExploreRepeatsToTheBitConcurrent: one explore spec asked again and
+// again — a repeat on the session that froze the lattice, then several first
+// queries racing to freeze it on a second session — gives the same rules and
+// the same KL bits every time. Rounds score only the lattice's closed slots,
+// so this holds only if that list is the same however the lattice came to be
+// built.
+func TestExploreRepeatsToTheBitConcurrent(t *testing.T) {
+	ds, err := Generate("income", 1200, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := ExploreOptions{K: 5, GroupBys: 2}
+	same := func(label string, want, got *ExploreResult) {
+		t.Helper()
+		if !reflect.DeepEqual(want.Result.Rules, got.Result.Rules) || math.Float64bits(want.Result.KL) != math.Float64bits(got.Result.KL) {
+			t.Errorf("%s answers differently:\n%v %v\n%v %v", label, want.Result.Rules, want.Result.KL, got.Result.Rules, got.Result.KL)
+		}
+	}
+	serial, err := ds.Prepare(PrepareOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := serial.Explore(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := serial.Explore(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("a repeat", want, again)
+	serial.Close()
+
+	shared, err := ds.Prepare(PrepareOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shared.Close()
+	got := make([]*ExploreResult, 4)
+	errs := make([]error, len(got))
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			got[i], errs[i] = shared.Explore(opt)
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		same(fmt.Sprintf("concurrent first query %d", i), want, got[i])
+	}
+}
+
 // seenRows is a test's own copy of every row it gave a session, so a rule's
 // aggregates can be checked against a plain scan.
 type seenRows struct {
