@@ -416,7 +416,10 @@ type candHeap[K cmp.Ordered] []Candidate[K]
 // relative 1e-9, far above the bound's few ulps of rounding, plus Σm·1e-14,
 // far above the logarithm's absolute rounding (≈ 1e-16) times Σm, so a
 // skipped candidate's computed gain could never have entered the heap.
-func (h *candHeap[K]) consider(n int, key K, agg cube.Agg) {
+// Keys in exclude (already-selected rules) never enter it; they are looked
+// up only for a candidate that would, which leaves the heap as if they had
+// been dropped first.
+func (h *candHeap[K]) consider(n int, key K, agg cube.Agg, exclude map[K]bool) {
 	if !(agg.SumM > agg.SumMhat) {
 		return
 	}
@@ -426,9 +429,11 @@ func (h *candHeap[K]) consider(n int, key K, agg cube.Agg) {
 			return
 		}
 	}
-	if g := maxent.Gain(agg.SumM, agg.SumMhat); g > 0 {
-		h.offer(n, Candidate[K]{Key: key, Gain: g, Agg: agg})
+	g := maxent.Gain(agg.SumM, agg.SumMhat)
+	if !(g > 0) || len(*h) == n && !(g > (*h)[0].Gain) || exclude[key] {
+		return
 	}
+	h.offer(n, Candidate[K]{Key: key, Gain: g, Agg: agg})
 }
 
 // offer keeps c if it belongs to the top n seen so far: heap.Push while the
@@ -502,9 +507,7 @@ func TopByGain(c engine.Backend, candidates *engine.PColl[map[string]cube.Agg], 
 	tops := engine.MapParts(c, candidates, "candgen/topk", func(_ int, part map[string]cube.Agg) []Candidate[string] {
 		h := make(candHeap[string], 0, n+1)
 		for key, agg := range part {
-			if !exclude[key] {
-				h.consider(n, key, agg)
-			}
+			h.consider(n, key, agg, exclude)
 		}
 		return h.sorted()
 	})

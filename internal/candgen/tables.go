@@ -153,9 +153,7 @@ func TopByGainTables(c engine.Backend, candidates *engine.PColl[*cube.PackedTabl
 	tops := engine.MapParts(c, candidates, "candgen/topk", func(_ int, part *cube.PackedTable) []Candidate[uint64] {
 		h := make(candHeap[uint64], 0, n+1)
 		part.ForEach(func(key uint64, agg cube.Agg) {
-			if !exclude[key] {
-				h.consider(n, key, agg)
-			}
+			h.consider(n, key, agg, exclude)
 		})
 		return h.sorted()
 	})
@@ -213,10 +211,7 @@ func TopByGainSlots(c engine.Backend, cands SlotCandidates, n int, exclude map[u
 	c.RunStage("candgen/topk", parts, func(i int) {
 		h := make(candHeap[uint64], 0, n+1)
 		offer := func(slot int) {
-			key := cands.Keys[slot]
-			if !exclude[key] {
-				h.consider(n, key, cube.Agg{SumM: cands.SumM[slot], SumMhat: cands.SumMhat[slot], Count: cands.Count[slot]})
-			}
+			h.consider(n, cands.Keys[slot], cube.Agg{SumM: cands.SumM[slot], SumMhat: cands.SumMhat[slot], Count: cands.Count[slot]}, exclude)
 		}
 		if cands.Slots != nil {
 			lo, hi := engine.SplitRange(len(cands.Slots), parts, i)

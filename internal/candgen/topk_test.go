@@ -50,9 +50,10 @@ func referenceScore(h *boxedHeap, n int, key uint64, agg cube.Agg) {
 // TestTopKMatchesBoxedHeapAndFullSort: over random candidate streams with
 // many equal gains, near-1 ratios on large Σm (where the logarithm's
 // rounding is largest against the gain) and non-positive sums, the typed
-// heap with its skips ends every partition with exactly the reference
-// heap's array, and the head merge returns exactly the first n of a full
-// sort by (gain desc, key asc).
+// heap with its skips and its late exclusion ends every partition with
+// exactly the array of the reference heap, fed only unexcluded keys, and
+// the head merge returns exactly the first n of a full sort by (gain desc,
+// key asc).
 func TestTopKMatchesBoxedHeapAndFullSort(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -64,6 +65,10 @@ func TestTopKMatchesBoxedHeapAndFullSort(t *testing.T) {
 		for p := 0; p < parts; p++ {
 			typed := candHeap[uint64]{}
 			var ref boxedHeap
+			exclude := map[uint64]bool{} // selected rules: dropped before the reference scores
+			for range r.Intn(4) {
+				exclude[key+uint64(r.Intn(200))] = true
+			}
 			tight := r.Intn(3) == 0 // every ratio near 1: gains as small as their rounding
 			for i, m := 0, r.Intn(200); i < m; i++ {
 				key += uint64(r.Intn(3) + 1)
@@ -84,8 +89,10 @@ func TestTopKMatchesBoxedHeapAndFullSort(t *testing.T) {
 				default:
 					agg = cube.Agg{SumM: r.Float64() * 100, SumMhat: r.Float64() * 100}
 				}
-				typed.consider(n, key, agg)
-				referenceScore(&ref, n, key, agg)
+				typed.consider(n, key, agg, exclude)
+				if !exclude[key] {
+					referenceScore(&ref, n, key, agg)
+				}
 			}
 			if !slices.Equal(typed, candHeap[uint64](ref)) {
 				t.Fatalf("seed %d part %d: typed heap %v, container/heap %v", seed, p, typed, ref)

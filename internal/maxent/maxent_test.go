@@ -686,11 +686,7 @@ func TestRCTRowOrderIsSignatureByteOrder(t *testing.T) {
 	sigs := [][]uint64{{0x0100, 2}, {0x01, 0}, {0x0100, 1}, {0x02, 0}, {0x01, 0}}
 	frags := []*Fragment{{}, {}}
 	for i, sig := range sigs {
-		f := frags[i%2]
-		if f.index == nil {
-			f.Reset()
-		}
-		f.Add(sig, float64(i), float64(i))
+		frags[i%2].Add(sig, float64(i), float64(i))
 	}
 	rct := BuildRCT(2, frags...)
 	want := [][]uint64{{0x0100, 1}, {0x0100, 2}, {0x01, 0}, {0x02, 0}}

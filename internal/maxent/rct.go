@@ -19,7 +19,7 @@ type RCTScaler struct {
 	words int      // words per bit array, fixed at construction
 	ba    []uint64 // len = rows*words; tuple i owns ba[i*words : (i+1)*words]
 	frag  Fragment
-	rct   *RCT
+	rct   RCT
 
 	// OnRCTBuilt, if set, is invoked after the group-by pass of AddRule
 	// (line 6 of Algorithm 3) with the freshly built table, before any
@@ -35,7 +35,6 @@ func NewRCTScaler(ds *dataset.Dataset, work []float64, maxRules int) *RCTScaler 
 		scalerBase: newScalerBase(ds, work),
 		words:      words,
 		ba:         make([]uint64, ds.NumRows()*words),
-		rct:        &RCT{words: words},
 	}
 }
 
@@ -79,7 +78,7 @@ func (s *RCTScaler) AddRule(r rule.Rule) (ScaleStats, error) {
 	var sum float64
 	count := 0
 	word, bit := w/64, uint64(1)<<(uint(w)%64)
-	s.frag.Reset()
+	s.frag.Extend(w, w+1)
 	for i := 0; i < s.ds.NumRows(); i++ {
 		bai := s.ba[i*s.words : (i+1)*s.words]
 		if r.MatchesRow(s.ds, i) {
@@ -90,7 +89,7 @@ func (s *RCTScaler) AddRule(r rule.Rule) (ScaleStats, error) {
 		s.frag.Add(bai, s.work[i], s.mhat[i])
 	}
 	// With empty support no bit was set, so the rebuilt RCT is still valid.
-	s.rct = BuildRCT(s.words, &s.frag)
+	s.rct.Build(s.words, &s.frag)
 	if err := s.appendRule(r, sum, count); err != nil {
 		return ScaleStats{}, err
 	}

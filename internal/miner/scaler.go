@@ -204,11 +204,15 @@ func (s *naiveDistScaler) AddRules(rs []rule.Rule) error {
 // rctDistScaler runs Algorithm 3 with distributed coverage bit arrays: D is
 // scanned twice per AddRules call no matter how many loops the (driver-side,
 // RCT-sized) scaling takes. Each block groups its tuples into an RCT
-// fragment; the driver merges them into the maxent kernel's RCT.
+// fragment; the driver merges them into the maxent kernel's RCT. A block's
+// fragment lives as long as the scaler, so each call files a tuple by its
+// previous row and the new rules' bits (Fragment.Extend); each loop then
+// costs one step per covered RCT row.
 type rctDistScaler struct {
 	scalerBase
 	words int                // bit-array words per tuple
 	frags []*maxent.Fragment // per block, reused across AddRules calls
+	rct   maxent.RCT         // rebuilt by each AddRules call in its own storage
 }
 
 func newRCTDistScaler(c engine.Backend, data *engine.CachedData, dataBytes int64, epsilon float64, maxRules int) *rctDistScaler {
@@ -230,7 +234,7 @@ func (s *rctDistScaler) AddRules(rs []rule.Rule) error {
 		s.frags = append(s.frags, new(maxent.Fragment))
 	}
 	for _, f := range s.frags {
-		f.Reset()
+		f.Extend(base, base+len(rs))
 	}
 	// Pass 1 (lines 1–6): set the new coverage bits, compute targets, and
 	// build per-block RCT fragments.
@@ -253,7 +257,8 @@ func (s *rctDistScaler) AddRules(rs []rule.Rule) error {
 	}
 	// Merge the fragments on the driver (the RCT is small: at most 2^|R|
 	// rows, in practice far fewer — Section 4.1).
-	rct := maxent.BuildRCT(s.words, s.frags[:s.data.NumBlocks()]...)
+	rct := &s.rct
+	rct.Build(s.words, s.frags[:s.data.NumBlocks()]...)
 	s.c.Reg().Add(metrics.CtrShuffleBytes, int64(rct.Len()*(8*s.words+16)))
 	s.c.Reg().Add(metrics.CtrShuffleRecords, int64(rct.Len()))
 	_, err = maxent.Scale(s.targets, s.counts, s.lambda, s.epsilon, s.maxLoops,
