@@ -19,19 +19,20 @@ import (
 // those counts into time (SimBackend.price; read it via SimTime).
 // Two implementations are provided:
 //
-//   - SimBackend reproduces the thesis' distributed deployment in-process:
-//     bounded real parallelism plus a simulated cluster clock, built by
-//     list-scheduling task durations onto virtual executors and by pricing
-//     the recorded shuffle, broadcast, job and disk counts. It is the
-//     substrate for regenerating the paper's figures, which are reported in
-//     simulated time.
-//
-//   - NativeBackend runs the same operators as fast as the host allows, with
+//   - NativeBackend runs the operators as fast as the host allows, with
 //     work-stealing goroutine scheduling and no clock. It is the substrate
 //     for serving real workloads.
 //
-// Both backends execute identical task code, so a mining job produces the
-// same rule list on either; only the performance accounting differs.
+//   - SimBackend reproduces the thesis' distributed deployment in-process:
+//     a NativeBackend plus a simulated cluster clock, built by
+//     list-scheduling the measured task durations onto virtual executors and
+//     by pricing the recorded shuffle, broadcast, job and disk counts. It is
+//     the substrate for regenerating the paper's figures, which are reported
+//     in simulated time.
+//
+// Both backends run identical task code on one scheduler, so a mining job
+// produces the same rule list on either; only the performance accounting
+// differs.
 //
 // The interface has unexported methods: implementations live in this
 // package, which keeps the cache/spill integration internal.

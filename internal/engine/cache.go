@@ -11,7 +11,8 @@ import (
 )
 
 // TupleBlock is one cached partition of the mining input: a columnar slice
-// of tuples with their measure, live estimate and rule-coverage columns.
+// of tuples with their measure and live estimate columns. Rule coverage is
+// not kept per tuple; an RCT scaler's fragments hold each tuple's row.
 // Exported fields make blocks gob-encodable for the spill path. Once blocks
 // may spill, all mutation must go through the block (a reloaded block no
 // longer aliases the arrays it was built from).
@@ -20,8 +21,6 @@ type TupleBlock struct {
 	Dims  [][]int32 // Dims[j][i] = dimension j of local row i
 	M     []float64 // transformed measure
 	Mhat  []float64 // current estimates
-	BAW   int       // coverage bit-array words per tuple (0 until rules exist)
-	BA    []uint64  // len = rows*BAW; tuple i owns BA[i*BAW:(i+1)*BAW]
 }
 
 // NumRows returns the block's row count.
@@ -32,7 +31,7 @@ func (b *TupleBlock) NumRows() int { return len(b.M) }
 // only the columns actually present are charged against the cache budget.
 func (b *TupleBlock) Bytes() int64 {
 	rows := int64(b.NumRows())
-	return rows*int64(len(b.Dims))*4 + int64(len(b.M))*8 + int64(len(b.Mhat))*8 + int64(len(b.BA))*8
+	return rows*int64(len(b.Dims))*4 + int64(len(b.M))*8 + int64(len(b.Mhat))*8
 }
 
 // CachedData is a buffer pool over TupleBlocks with a backend-wide byte
@@ -317,11 +316,11 @@ func (cd *CachedData) Scan(name string, mutate bool, f func(i int, b *TupleBlock
 
 // Fork returns a per-query view of the data: new blocks that share the
 // immutable dimension and measure columns of cd's blocks but own a fresh
-// estimate column initialised to 1 (the iterative-scaling starting point)
-// and no coverage bits. Forks are what make prepare-once/query-many safe:
-// concurrent queries scale their own Mhat/BA columns while reading one
-// shared copy of the data. The fork is registered against b's cache budget
-// (typically a per-query scope of the backend holding cd). Estimate columns
+// estimate column initialised to 1 (the iterative-scaling starting point).
+// Forks are what make prepare-once/query-many safe: concurrent queries
+// scale their own Mhat columns while reading one shared copy of the data.
+// The fork is registered against b's cache budget (typically a per-query
+// scope of the backend holding cd). Estimate columns
 // are borrowed from the backend arena when b is a query scope; the scope's
 // Finish returns them, which is safe because forks never outlive their query.
 func (cd *CachedData) Fork(b Backend) (*CachedData, error) {

@@ -37,10 +37,6 @@ func TestBlockBytes(t *testing.T) {
 	if got := b.Bytes(); got != 100*3*4+100*16 {
 		t.Errorf("Bytes = %d", got)
 	}
-	b.BA = make([]uint64, 100)
-	if got := b.Bytes(); got != 100*3*4+100*16+100*8 {
-		t.Errorf("Bytes with BA = %d", got)
-	}
 }
 
 // TestBlockBytesNilMhat is the regression test for the canonical-block

@@ -16,19 +16,18 @@
 // # Simulated cluster time
 //
 // The thesis' evaluation ran on a 16-node cluster; this repository runs on
-// whatever cores the host has. Under SimBackend, every task's real CPU
-// duration is measured, and tasks are then placed onto E virtual executors ×
-// C virtual cores by list scheduling in task order; a stage's simulated
-// duration is the makespan of that schedule plus StageOverhead. To that clock
-// price adds job startup (JobOverhead), shuffle and broadcast transfer at
-// NetBandwidth, and disk traffic at DiskBandwidth. Wall-clock time is tracked
-// too. All scalability figures (5.1, 5.2, 5.16, 5.17) are reported in
+// whatever cores the host has. Under SimBackend, every task runs on the
+// native work-stealing pool and its real duration is measured; the durations
+// are then placed onto E virtual executors × C virtual cores by list
+// scheduling in task order, and a stage's simulated duration is the makespan
+// of that schedule plus StageOverhead. To that clock price adds job startup
+// (JobOverhead), shuffle and broadcast transfer at NetBandwidth, and disk
+// traffic at DiskBandwidth. Wall-clock time is tracked too. All scalability figures (5.1, 5.2, 5.16, 5.17) are reported in
 // simulated time; single-machine algorithmic comparisons (RCT vs naive, fast
 // pruning, …) hold in both clocks because they do the same real work.
 package engine
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"time"
@@ -79,50 +78,25 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// SimBackend is the simulated-cluster backend. It owns the lifetime metrics
-// registry every query's counts land in, the stage clock, and a spill
-// directory for disk-backed blocks.
+// SimBackend is the simulated-cluster backend: a NativeBackend that runs
+// every stage on the same work-stealing pool, plus a clock. It times each
+// task and advances the stage clock by the stage's simulated makespan; its
+// registry, cache budget, spill directory and arena are the native ones.
 type SimBackend struct {
-	conf Config
-	reg  *metrics.Registry
+	*NativeBackend
 
 	stageMu    sync.Mutex
 	stageClock time.Duration // makespans plus StageOverhead, per RunStage
-
-	spill spiller
-	cols  columnArena
-
-	sem chan struct{} // limits real concurrency
 }
 
 // NewSimBackend builds a simulated cluster from conf (zero fields get
-// defaults).
+// defaults; Partitions defaults to Executors × CoresPerExecutor).
 func NewSimBackend(conf Config) *SimBackend {
-	conf = conf.withDefaults()
-	return &SimBackend{
-		conf: conf,
-		reg:  metrics.NewRegistry(),
-		sem:  make(chan struct{}, conf.RealParallelism),
-	}
+	return &SimBackend{NativeBackend: NewNativeBackend(conf.withDefaults())}
 }
 
 // Name identifies the backend.
 func (c *SimBackend) Name() string { return "sim" }
-
-// Config returns the effective (defaulted) configuration.
-func (c *SimBackend) Config() Config { return c.conf }
-
-// Reg returns the lifetime metrics registry.
-func (c *SimBackend) Reg() *metrics.Registry { return c.reg }
-
-// Close removes any spill files. The backend is unusable afterwards.
-func (c *SimBackend) Close() error { return c.spill.cleanup() }
-
-// TotalMemory returns the cluster-wide cache budget. Spark reserves ~60% of
-// executor memory for storage; the same fraction applies here (Section 4.5).
-func (c *SimBackend) TotalMemory() int64 {
-	return int64(float64(c.conf.MemoryPerExecutor) * 0.6 * float64(c.conf.Executors))
-}
 
 // SimTime returns the simulated cluster clock: the stage clock plus the price
 // of all work recorded on the backend's registry so far.
@@ -171,49 +145,23 @@ func (c *SimBackend) diskTime(bytes int64) time.Duration {
 	return time.Duration(float64(bytes) / c.conf.DiskBandwidth * float64(time.Second))
 }
 
-// RunStage executes n tasks with bounded real parallelism and advances the
-// stage clock (see runStage).
+// RunStage executes n tasks on the worker pool and advances the stage clock
+// (see runStage).
 func (c *SimBackend) RunStage(name string, n int, task func(i int)) {
 	c.runStage(c.reg, name, n, task)
 }
 
-// runStage executes n tasks with bounded real parallelism, measures each
-// task's wall duration, counts the stage on reg, and advances the stage
-// clock by the makespan of scheduling those durations onto the virtual
-// cluster. Task panics are captured and re-raised on the caller with stage
-// context after all tasks finish.
+// runStage runs the stage on the native pool, timing each task, and
+// advances the stage clock by the makespan of scheduling those durations
+// onto the virtual cluster plus StageOverhead; an empty stage costs the
+// overhead alone.
 func (c *SimBackend) runStage(reg *metrics.Registry, name string, n int, task func(i int)) {
-	if n == 0 {
-		c.advance(c.conf.StageOverhead)
-		return
-	}
 	durations := make([]time.Duration, n)
-	panics := make([]any, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		c.sem <- struct{}{}
-		go func(i int) {
-			defer func() {
-				if r := recover(); r != nil {
-					panics[i] = r
-				}
-				<-c.sem
-				wg.Done()
-			}()
-			start := time.Now()
-			task(i)
-			durations[i] = time.Since(start)
-		}(i)
-	}
-	wg.Wait()
-	for i, p := range panics {
-		if p != nil {
-			panic(fmt.Sprintf("engine: task %d of stage %q panicked: %v", i, name, p))
-		}
-	}
-	reg.Add(metrics.CtrTasks, int64(n))
-	reg.Add(metrics.CtrStages, 1)
+	c.NativeBackend.runStage(reg, name, n, func(i int) {
+		start := time.Now()
+		task(i)
+		durations[i] = time.Since(start)
+	})
 	c.advance(c.makespan(durations) + c.conf.StageOverhead)
 }
 
@@ -251,11 +199,5 @@ func (c *SimBackend) makespan(durations []time.Duration) time.Duration {
 	return mk
 }
 
-// spillPath lazily creates the spill directory and returns a file path for
-// the named block.
-func (c *SimBackend) spillPath(name string) (string, error) { return c.spill.path(name) }
-
 // accountsBytes: the simulator prices operators by byte volume.
 func (c *SimBackend) accountsBytes() bool { return true }
-
-func (c *SimBackend) arena() *columnArena { return &c.cols }

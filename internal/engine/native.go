@@ -81,7 +81,7 @@ func (b *NativeBackend) RunStage(name string, n int, task func(i int)) {
 
 // runStage executes n tasks on the worker pool with work stealing and counts
 // the stage on reg. Task panics are captured and re-raised on the caller with
-// stage context after all tasks finish, matching SimBackend.
+// stage context after all tasks finish.
 func (b *NativeBackend) runStage(reg *metrics.Registry, name string, n int, task func(i int)) {
 	if n <= 0 {
 		return
@@ -106,8 +106,8 @@ func (b *NativeBackend) runStage(reg *metrics.Registry, name string, n int, task
 	}
 	if w <= 1 {
 		// Like the concurrent path, run every task before re-raising the
-		// first panic, so side effects (e.g. MapParts output slots) are as
-		// complete as on SimBackend.
+		// first panic, so side effects (e.g. MapParts output slots) are
+		// complete.
 		firstIdx, firstPanic := -1, any(nil)
 		for i := 0; i < n; i++ {
 			if p := runTask(i); p != nil && firstPanic == nil {

@@ -659,9 +659,9 @@ func TestProductsWalkSetBitsAcrossWords(t *testing.T) {
 	}
 	sigs := [][]uint64{{0, 0, 0}, {1, 0, 0}, {1<<63 | 5, 1, 0}, {0, 1 << 63, 3}}
 	var f Fragment
-	f.Reset()
+	f.Extend(3, 0, 3*64)
 	for _, sig := range sigs {
-		f.Add(sig, 1, 1)
+		f.Add(coveredIn(sig, 0, 3*64), 1, 1)
 	}
 	est := make([]float64, len(sigs))
 	f.WriteBack(BuildRCT(3, &f).Products(lambda), est)
@@ -685,8 +685,11 @@ func TestProductsWalkSetBitsAcrossWords(t *testing.T) {
 func TestRCTRowOrderIsSignatureByteOrder(t *testing.T) {
 	sigs := [][]uint64{{0x0100, 2}, {0x01, 0}, {0x0100, 1}, {0x02, 0}, {0x01, 0}}
 	frags := []*Fragment{{}, {}}
+	for _, f := range frags {
+		f.Extend(2, 0, 2*64)
+	}
 	for i, sig := range sigs {
-		frags[i%2].Add(sig, float64(i), float64(i))
+		frags[i%2].Add(coveredIn(sig, 0, 2*64), float64(i), float64(i))
 	}
 	rct := BuildRCT(2, frags...)
 	want := [][]uint64{{0x0100, 1}, {0x0100, 2}, {0x01, 0}, {0x02, 0}}

@@ -9,15 +9,15 @@ import (
 	"sirum/internal/rule"
 )
 
-// RCTScaler implements Algorithm 3: per-tuple coverage bit arrays plus a
-// Rule Coverage Table so that iterative scaling touches D only twice per
-// rule added — once to extend the bit arrays and build the RCT, once to
-// write the converged estimates back — instead of twice per scaling loop.
+// RCTScaler implements Algorithm 3 over dataset rows: a Rule Coverage
+// Table so that iterative scaling touches D only twice per rule added —
+// once to file each tuple by its previous row and the new rule's bit and
+// build the RCT, once to write the converged estimates back — instead of
+// twice per scaling loop.
 type RCTScaler struct {
 	scalerBase
 
-	words int      // words per bit array, fixed at construction
-	ba    []uint64 // len = rows*words; tuple i owns ba[i*words : (i+1)*words]
+	words int // signature words, fixed at construction
 	frag  Fragment
 	rct   RCT
 
@@ -30,11 +30,9 @@ type RCTScaler struct {
 // NewRCTScaler builds an RCT scaler over ds with the given transformed
 // measure column. maxRules bounds the number of rules ever added.
 func NewRCTScaler(ds *dataset.Dataset, work []float64, maxRules int) *RCTScaler {
-	words := max(1, (maxRules+63)/64)
 	return &RCTScaler{
 		scalerBase: newScalerBase(ds, work),
-		words:      words,
-		ba:         make([]uint64, ds.NumRows()*words),
+		words:      max(1, (maxRules+63)/64),
 	}
 }
 
@@ -65,28 +63,29 @@ func (s *RCTScaler) Snapshot() []RCTRow {
 	return out
 }
 
-// AddRule implements Scaler: lines 1–6 of Algorithm 3 extend the bit arrays
-// and rebuild the RCT with one pass over D, the scaling loop runs entirely
-// on the RCT, and convergence triggers the single write-back pass.
+// AddRule implements Scaler: lines 1–6 of Algorithm 3 file every tuple by
+// the new rule's bit and rebuild the RCT with one pass over D, the scaling
+// loop runs entirely on the RCT, and convergence triggers the single
+// write-back pass.
 func (s *RCTScaler) AddRule(r rule.Rule) (ScaleStats, error) {
 	w := len(s.rules)
 	if w >= s.words*64 {
 		return ScaleStats{}, fmt.Errorf("maxent: RCT scaler capacity %d rules exceeded", s.words*64)
 	}
-	// Pass 1 over D: set bit w for covered tuples, compute the target, and
-	// group by bit array to build the RCT.
+	// Pass 1 over D: compute the target and group by signature, bit w new,
+	// to build the RCT.
 	var sum float64
 	count := 0
-	word, bit := w/64, uint64(1)<<(uint(w)%64)
-	s.frag.Extend(w, w+1)
+	covers := []int{0}
+	s.frag.Extend(s.words, w, w+1)
 	for i := 0; i < s.ds.NumRows(); i++ {
-		bai := s.ba[i*s.words : (i+1)*s.words]
+		covered := covers[:0]
 		if r.MatchesRow(s.ds, i) {
-			bai[word] |= bit
+			covered = covers
 			sum += s.work[i]
 			count++
 		}
-		s.frag.Add(bai, s.work[i], s.mhat[i])
+		s.frag.Add(covered, s.work[i], s.mhat[i])
 	}
 	// With empty support no bit was set, so the rebuilt RCT is still valid.
 	s.rct.Build(s.words, &s.frag)
@@ -109,7 +108,7 @@ func (s *RCTScaler) AddRule(r rule.Rule) (ScaleStats, error) {
 	if err != nil {
 		return st, err
 	}
-	// Write-back pass (lines 23–25): tuples sharing a bit array share the
+	// Write-back pass (lines 23–25): tuples sharing a signature share the
 	// estimate Π λ, one product per RCT row.
 	s.frag.WriteBack(s.rct.Products(s.lambda), s.mhat)
 	if s.Reg != nil {

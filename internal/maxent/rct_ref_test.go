@@ -131,6 +131,18 @@ func (t *refRCT) Products(lambda []float64) []float64 {
 	return est
 }
 
+// coveredIn lists the set bits of sig in [lo, hi), each relative to lo:
+// what a scaler passes Fragment.Add for a tuple of that signature.
+func coveredIn(sig []uint64, lo, hi int) []int {
+	var covered []int
+	for b := lo; b < hi; b++ {
+		if sig[b/64]>>(b%64)&1 != 0 {
+			covered = append(covered, b-lo)
+		}
+	}
+	return covered
+}
+
 // sameBits reports whether a and b hold the same float64 bit patterns.
 func sameBits(a, b []float64) bool {
 	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
@@ -233,7 +245,7 @@ func TestRCTKernelMatchesReference(t *testing.T) {
 			var rct RCT // one table rebuilt in place, as the scalers keep it
 			for base := start; base+perCall <= words*64 && base < start+8*perCall; base += perCall {
 				for bi, blk := range blocks {
-					frags[bi].Extend(base, base+perCall)
+					frags[bi].Extend(words, base, base+perCall)
 					refFrags[bi].Reset()
 					for _, tp := range blk {
 						for r := base; r < base+perCall; r++ {
@@ -241,7 +253,7 @@ func TestRCTKernelMatchesReference(t *testing.T) {
 								tp.ba[r/64] |= 1 << (uint(r) % 64)
 							}
 						}
-						frags[bi].Add(tp.ba, tp.m, tp.mhat)
+						frags[bi].Add(coveredIn(tp.ba, base, base+perCall), tp.m, tp.mhat)
 						refFrags[bi].Add(tp.ba, tp.m, tp.mhat)
 					}
 				}
@@ -269,8 +281,8 @@ func TestRCTKernelMatchesReference(t *testing.T) {
 	}
 }
 
-// TestRCTWholeSignatureFilingMatchesReference: a Reset pass files each tuple
-// by all its bits. Signatures drawn from a small pool with bits anywhere in
+// TestRCTWholeSignatureFilingMatchesReference: a first pass opened over
+// every bit files each tuple by all its bits. Signatures drawn from a small pool with bits anywhere in
 // up to three words, repeated across fragments, build the reference's RCT.
 func TestRCTWholeSignatureFilingMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -295,7 +307,7 @@ func TestRCTWholeSignatureFilingMatchesReference(t *testing.T) {
 		refFrags := make([]*refFragment, nFrags)
 		for bi := range frags {
 			frags[bi], refFrags[bi] = new(Fragment), new(refFragment)
-			frags[bi].Reset()
+			frags[bi].Extend(words, 0, words*64)
 			refFrags[bi].Reset()
 			n := rng.Intn(30)
 			if rng.Intn(4) == 0 {
@@ -303,29 +315,11 @@ func TestRCTWholeSignatureFilingMatchesReference(t *testing.T) {
 			}
 			for range n {
 				sig, m := pool[rng.Intn(len(pool))], rng.Float64()
-				frags[bi].Add(sig, m, m/2)
+				frags[bi].Add(coveredIn(sig, 0, words*64), m, m/2)
 				refFrags[bi].Add(sig, m, m/2)
 			}
 		}
 		rct := BuildRCT(words, frags...)
 		diffKernels(t, rng, "whole-signature filing", words, words*64, rct, frags, refBuildRCT(words, refFrags...), refFrags)
 	}
-}
-
-// TestFragmentExtendRejectsChangedSignature: a signature that changed
-// outside the new bits breaks Extend's premise, and filing it panics rather
-// than sharing a row with a different signature.
-func TestFragmentExtendRejectsChangedSignature(t *testing.T) {
-	var f Fragment
-	f.Extend(0, 1)
-	f.Add([]uint64{1}, 1, 1)
-	f.Add([]uint64{1}, 1, 1)
-	f.Extend(1, 2)
-	f.Add([]uint64{1}, 1, 1)
-	defer func() {
-		if recover() == nil {
-			t.Error("a tuple whose old bit cleared was filed with one that kept it")
-		}
-	}()
-	f.Add([]uint64{0}, 1, 1)
 }

@@ -10,10 +10,11 @@
 // groups coverage signatures into rows in one fixed order and lists, per
 // rule, the rows it covers, so one scaling loop costs one step per covered
 // row rather than one per rule and row. Building it does no string or map
-// work: fragments file tuples by integer tables and BuildRCT radix-sorts
-// their signatures. Front ends differ only in how they scan: NaiveScaler and
-// RCTScaler scan dataset rows, the miner's distributed scalers scan engine
-// blocks.
+// work: fragments file each tuple by its previous row and the new rules it
+// matches, through integer tables, and BuildRCT radix-sorts their rows'
+// signatures; only this package knows a signature's layout. Front ends
+// differ only in how they scan: NaiveScaler and RCTScaler scan dataset rows,
+// the miner's distributed scalers scan engine blocks.
 package maxent
 
 import (
@@ -78,21 +79,22 @@ func scaleRatio(target, est float64) float64 {
 //
 // A tuple is filed by integers, never by its signature's bytes. A pass
 // opened by Extend sees the tuples of the previous pass again, in the same
-// order, each signature grown by bits [lo, hi) only; so a tuple's row is a
-// function of its previous row and those bits, looked up fileChunk bits at a
-// time in dense tables. Reset opens a pass with no previous one: every
-// tuple starts from the empty signature and is filed by all its bits. Both
-// number rows in first-seen order of the whole signature, so rows, sums and
-// their order do not depend on how a signature was filed. Storage is reused
-// across passes, so a warm pass allocates per distinct signature, not per
-// tuple.
+// order, each signature grown by bits [lo, hi) only, and Add is passed just
+// the new bits; so a tuple's row is a function of its previous row and those
+// bits, looked up fileChunk bits at a time in dense tables, and a new row's
+// signature is its parent row's plus those bits. This departs from
+// Algorithm 3, which keeps a coverage bit array per tuple: the previous row
+// determines the same signature, so a tuple costs one row id. Storage is
+// reused across passes, so a warm pass allocates per distinct signature, not
+// per tuple.
 type Fragment struct {
-	sigs   []uint64 // row i's signature: sigs[i*words:(i+1)*words]
-	rows   []rctRow
-	ids    []int32     // row of each added tuple, in scan order
-	prev   []int32     // row of each tuple in the previous pass; empty: none
-	gid    []int32     // row → row of the RCT built from this fragment
-	levels []fileLevel // none: file by the whole signature, sized at the first Add
+	words, lo  int      // signature words; first new bit of this pass
+	sigs, psig []uint64 // row i's signature: sigs[i*words:(i+1)*words]; psig: the previous pass's
+	rows       []rctRow
+	ids        []int32 // row of each added tuple, in scan order
+	prev       []int32 // row of each tuple in the previous pass; empty: none
+	gid        []int32 // row → row of the RCT built from this fragment
+	levels     []fileLevel
 }
 
 // fileChunk is the most bits one fileLevel files, which bounds its table to
@@ -113,31 +115,23 @@ type rctRow struct {
 	sumM, sumMhat float64
 }
 
-// Reset empties f for a pass that files every tuple by its whole signature,
-// as a zero Fragment does.
-func (f *Fragment) Reset() {
-	f.prev, f.ids = f.prev[:0], f.ids[:0]
-	f.sigs, f.rows = f.sigs[:0], f.rows[:0]
-	f.levels = f.levels[:0]
-}
-
 // Extend empties f for a pass over the same tuples, in the same order, as
-// the previous one, whose signatures have gained bits in [lo, hi) and
-// changed nowhere else. Each tuple is filed by its previous row and those
-// bits. With no previous pass every signature starts empty.
-func (f *Fragment) Extend(lo, hi int) {
+// the previous one, whose signatures (words wide) have gained bits in
+// [lo, hi) and changed nowhere else. With no previous pass every signature
+// starts empty.
+func (f *Fragment) Extend(words, lo, hi int) {
 	parents := 1
 	if len(f.ids) > 0 {
 		parents = len(f.rows)
 	}
 	f.prev, f.ids = f.ids, f.prev[:0]
-	f.sigs, f.rows = f.sigs[:0], f.rows[:0]
-	f.open(lo, hi, parents)
-}
-
-// open lays out the levels filing bits [lo, hi) under parents classes:
-// chunks end on multiples of fileChunk, so none straddles a word.
-func (f *Fragment) open(lo, hi, parents int) {
+	f.psig, f.sigs = f.sigs, f.psig[:0]
+	if len(f.prev) == 0 {
+		f.psig = append(f.psig[:0], make([]uint64, words)...) // the empty parent
+	}
+	f.rows = f.rows[:0]
+	f.words, f.lo = words, lo
+	// Chunks end on multiples of fileChunk, so none straddles a word.
 	f.levels = f.levels[:0]
 	for at := lo; ; {
 		end := min(hi, (at/fileChunk+1)*fileChunk)
@@ -148,9 +142,6 @@ func (f *Fragment) open(lo, hi, parents int) {
 		}
 		lv := &f.levels[len(f.levels)-1]
 		lv.at, lv.width, lv.n, lv.next = at, end-at, 0, lv.next[:0]
-		if lv.width == 0 {
-			lv.at = 0 // no bits: any in-range word reads as empty
-		}
 		if end == hi {
 			break
 		}
@@ -166,12 +157,10 @@ func (lv *fileLevel) grow(n int) {
 	}
 }
 
-// Add files one tuple with coverage signature ba, measure m and estimate
-// mhat under its row.
-func (f *Fragment) Add(ba []uint64, m, mhat float64) {
-	if len(f.levels) == 0 {
-		f.open(0, len(ba)*64, 1)
-	}
+// Add files one tuple with measure m and estimate mhat under its row.
+// covered lists, ascending, the new rules the tuple matches, each relative
+// to Extend's lo.
+func (f *Fragment) Add(covered []int, m, mhat float64) {
 	var id int32
 	if len(f.prev) > 0 {
 		if len(f.ids) == len(f.prev) {
@@ -179,10 +168,13 @@ func (f *Fragment) Add(ba []uint64, m, mhat float64) {
 		}
 		id = f.prev[len(f.ids)]
 	}
-	last := len(f.levels) - 1
+	parent, c, last := id, 0, len(f.levels)-1
 	for k := range f.levels {
 		lv := &f.levels[k]
-		slot := int(id)<<lv.width | int(ba[lv.at>>6]>>(lv.at&63))&(1<<lv.width-1)
+		slot := int(id) << lv.width
+		for ; c < len(covered) && f.lo+covered[c] < lv.at+lv.width; c++ {
+			slot |= 1 << (f.lo + covered[c] - lv.at)
+		}
 		child := lv.next[slot]
 		if child < 0 {
 			child = lv.n
@@ -191,15 +183,15 @@ func (f *Fragment) Add(ba []uint64, m, mhat float64) {
 			if k < last {
 				f.levels[k+1].grow(1)
 			} else {
-				f.sigs = append(f.sigs, ba...)
+				f.sigs = append(f.sigs, f.psig[int(parent)*f.words:int(parent+1)*f.words]...)
+				sig := f.sigs[len(f.sigs)-f.words:]
+				for _, r := range covered {
+					sig[(f.lo+r)>>6] |= 1 << ((f.lo + r) & 63)
+				}
 				f.rows = append(f.rows, rctRow{})
 			}
 		}
 		id = child
-	}
-	words := len(ba)
-	if !slices.Equal(ba, f.sigs[int(id)*words:int(id+1)*words]) {
-		panic("maxent: Fragment.Add: a signature changed outside the bits Extend named")
 	}
 	row := &f.rows[id]
 	row.count++

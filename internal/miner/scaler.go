@@ -201,16 +201,16 @@ func (s *naiveDistScaler) AddRules(rs []rule.Rule) error {
 	return err
 }
 
-// rctDistScaler runs Algorithm 3 with distributed coverage bit arrays: D is
-// scanned twice per AddRules call no matter how many loops the (driver-side,
-// RCT-sized) scaling takes. Each block groups its tuples into an RCT
-// fragment; the driver merges them into the maxent kernel's RCT. A block's
-// fragment lives as long as the scaler, so each call files a tuple by its
-// previous row and the new rules' bits (Fragment.Extend); each loop then
-// costs one step per covered RCT row.
+// rctDistScaler runs Algorithm 3 distributed: D is scanned twice per
+// AddRules call no matter how many loops the (driver-side, RCT-sized)
+// scaling takes. Each block groups its tuples into an RCT fragment; the
+// driver merges them into the maxent kernel's RCT. A block's fragment lives
+// as long as the scaler, so each call files a tuple by its previous row and
+// the new rules it matches (Fragment.Extend); no block carries coverage
+// bits. Each loop then costs one step per covered RCT row.
 type rctDistScaler struct {
 	scalerBase
-	words int                // bit-array words per tuple
+	words int                // signature words
 	frags []*maxent.Fragment // per block, reused across AddRules calls
 	rct   maxent.RCT         // rebuilt by each AddRules call in its own storage
 }
@@ -234,23 +234,12 @@ func (s *rctDistScaler) AddRules(rs []rule.Rule) error {
 		s.frags = append(s.frags, new(maxent.Fragment))
 	}
 	for _, f := range s.frags {
-		f.Extend(base, base+len(rs))
+		f.Extend(s.words, base, base+len(rs))
 	}
-	// Pass 1 (lines 1–6): set the new coverage bits, compute targets, and
-	// build per-block RCT fragments.
-	err := s.scanTargets("scaling/rct-build", rs, true, func(bi int, b *engine.TupleBlock, i int, covered []int) {
-		if b.BAW != s.words {
-			// First time this block carries coverage bits (or it was built
-			// before the scaler dimensioned them).
-			b.BAW = s.words
-			b.BA = make([]uint64, b.NumRows()*s.words)
-		}
-		ba := b.BA[i*s.words : (i+1)*s.words]
-		for _, ri := range covered {
-			w := base + ri
-			ba[w/64] |= 1 << (uint(w) % 64)
-		}
-		s.frags[bi].Add(ba, b.M[i], b.Mhat[i])
+	// Pass 1 (lines 1–6): compute targets and file each tuple by the new
+	// rules it matches into its block's RCT fragment.
+	err := s.scanTargets("scaling/rct-build", rs, false, func(bi int, b *engine.TupleBlock, i int, covered []int) {
+		s.frags[bi].Add(covered, b.M[i], b.Mhat[i])
 	})
 	if err != nil {
 		return err

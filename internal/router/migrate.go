@@ -69,9 +69,7 @@ func (rt *Router) handleMigrate(w http.ResponseWriter, r *http.Request) error {
 // deleted copy.
 func (rt *Router) migrateSession(origin *shard, id string) (MigratedSession, error) {
 	none := MigratedSession{}
-	gate := rt.sessionGate(id)
-	gate.Lock()
-	defer gate.Unlock()
+	defer rt.lockGate(id, true)()
 
 	// Resume: a prior attempt already cut this session over and only the
 	// origin's delete is left to finish.

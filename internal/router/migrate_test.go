@@ -497,3 +497,41 @@ func TestConcurrentRouterClose(t *testing.T) {
 		wg.Wait()
 	}
 }
+
+// TestGateMapEmptiesAfterChurn is the regression test for the gate leak:
+// every session op and migration used to leave its id's gate in the map for
+// the router's lifetime. After 100 sessions are created, appended to and
+// deleted, with a migrate pass between the appends, no gate is left.
+func TestGateMapEmptiesAfterChurn(t *testing.T) {
+	cl := newCluster(t, 2, false)
+	ids := make([]string, 100)
+	for i := range ids {
+		info, err := cl.c.CreateSession(server.CreateRequest{CSV: testCSV, Measure: "Delay"})
+		if err != nil {
+			t.Fatalf("creating session %d: %v", i, err)
+		}
+		ids[i] = info.ID
+	}
+	row := server.RowJSON{Dims: []string{"Fri", "SF"}, Measure: 5}
+	for i, id := range ids {
+		if i == len(ids)/2 {
+			if resp := migrate(t, cl, cl.holder(t, ids[0])); len(resp.Failed) != 0 {
+				t.Fatalf("migration failed: %+v", resp.Failed)
+			}
+		}
+		if _, err := cl.c.AppendRows(id, server.AppendRequest{Rows: []server.RowJSON{row}}); err != nil {
+			t.Fatalf("appending to %s: %v", id, err)
+		}
+	}
+	for _, id := range ids {
+		if err := cl.c.DeleteSession(id); err != nil {
+			t.Fatalf("deleting %s: %v", id, err)
+		}
+	}
+	cl.rt.mu.Lock()
+	left := len(cl.rt.gates)
+	cl.rt.mu.Unlock()
+	if left != 0 {
+		t.Fatalf("%d gates left after every session was deleted", left)
+	}
+}

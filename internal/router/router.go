@@ -115,9 +115,9 @@ type Router struct {
 	ring   *ring
 
 	mu         sync.Mutex
-	table      map[string]*shard        // session id → home shard
-	gates      map[string]*sync.RWMutex // session id → migration write gate
-	nextID     int                      // auto-assigned session ids r1, r2, ...
+	table      map[string]*shard // session id → home shard
+	gates      map[string]*gate  // session id → migration write gate, while held or awaited
+	nextID     int               // auto-assigned session ids r1, r2, ...
 	lastResync time.Time
 
 	proxied   atomic.Int64 // requests relayed to a shard (any status)
@@ -144,7 +144,7 @@ func New(conf Config) (*Router, error) {
 		mux:      http.NewServeMux(),
 		ring:     newRing(len(conf.Shards), conf.Replicas),
 		table:    make(map[string]*shard),
-		gates:    make(map[string]*sync.RWMutex),
+		gates:    make(map[string]*gate),
 		stop:     make(chan struct{}),
 		loopDone: make(chan struct{}),
 	}
@@ -436,22 +436,47 @@ func containsShard(shards []*shard, sh *shard) bool {
 	return false
 }
 
-// sessionGate returns the session's migration write gate. Writers (append,
-// delete) hold it shared around locate-and-forward; migrateSession holds
-// it exclusively across export → import → cutover, so a write either
-// completes on the origin before the consistent cut or routes to the
-// destination after it — never lost in between. Gates are never deleted:
-// they are two words each, and freeing one early would let a writer slip
-// past a migration already holding it.
-func (rt *Router) sessionGate(id string) *sync.RWMutex {
+// gate is a session's migration write gate. refs counts, under Router.mu,
+// the callers holding it or waiting for it.
+type gate struct {
+	sync.RWMutex
+	refs int
+}
+
+// lockGate takes the session's migration write gate and returns its
+// release. Session operations hold it shared around locate-and-forward;
+// migrateSession holds it exclusively across export → import → cutover,
+// so a write either completes on the origin before the consistent cut or
+// routes to the destination after it — never lost in between. The
+// reference is taken before blocking on the lock, so a writer waiting
+// behind a migration keeps the gate it waits on in the map; the last
+// release deletes it, and the map holds only gates in use.
+func (rt *Router) lockGate(id string, exclusive bool) (release func()) {
 	rt.mu.Lock()
-	defer rt.mu.Unlock()
 	g := rt.gates[id]
 	if g == nil {
-		g = &sync.RWMutex{}
+		g = new(gate)
 		rt.gates[id] = g
 	}
-	return g
+	g.refs++
+	rt.mu.Unlock()
+	if exclusive {
+		g.Lock()
+	} else {
+		g.RLock()
+	}
+	return func() {
+		if exclusive {
+			g.Unlock()
+		} else {
+			g.RUnlock()
+		}
+		rt.mu.Lock()
+		if g.refs--; g.refs == 0 {
+			delete(rt.gates, id)
+		}
+		rt.mu.Unlock()
+	}
 }
 
 // apiError, errf, writeJSON and wrap mirror the shard daemon's uniform
@@ -702,14 +727,12 @@ func (rt *Router) handleSession(w http.ResponseWriter, r *http.Request) error {
 	// origin before the export or waits and routes to the destination —
 	// never in the window where the origin copy is being deleted. Holding
 	// the gate through the relay also keeps in-flight reads draining on
-	// the origin until cutover. The ungated precheck keeps unknown ids
-	// from growing the gate map.
+	// the origin until cutover. The ungated precheck answers unknown ids
+	// without touching the gate map.
 	if rt.locate(id) == nil {
 		return errf(http.StatusNotFound, "unknown dataset %q", id)
 	}
-	g := rt.sessionGate(id)
-	g.RLock()
-	defer g.RUnlock()
+	defer rt.lockGate(id, false)()
 	sh := rt.locate(id)
 	if sh == nil {
 		return errf(http.StatusNotFound, "unknown dataset %q", id)
@@ -755,9 +778,7 @@ func (rt *Router) handleExportProxy(w http.ResponseWriter, r *http.Request) erro
 	if rt.locate(id) == nil {
 		return errf(http.StatusNotFound, "unknown dataset %q", id)
 	}
-	g := rt.sessionGate(id)
-	g.RLock()
-	defer g.RUnlock()
+	defer rt.lockGate(id, false)()
 	sh := rt.locate(id)
 	if sh == nil {
 		return errf(http.StatusNotFound, "unknown dataset %q", id)

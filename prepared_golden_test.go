@@ -30,7 +30,9 @@ const goldenPrepared = "testdata/prepared_answers.golden"
 // that moves which candidates are scored, or in what order they are ranked,
 // fails here unless every answer stays bit-identical. Run with -update to
 // rewrite the file after a change that is meant to move answers; -short runs
-// the income/1000 lines at two K and two seeds.
+// the income/1000 lines at two K and two seeds. The simulated cluster runs
+// the same tasks on the same pool plus a clock, so its income/1000 answers
+// must match the same lines.
 func TestPreparedAnswersGolden(t *testing.T) {
 	want, err := readGolden(goldenPrepared)
 	if err != nil && !*update {
@@ -42,45 +44,13 @@ func TestPreparedAnswersGolden(t *testing.T) {
 	if testing.Short() {
 		rowsGrid, ks, seeds = []int{1000}, []int{3, 10}, []int64{1, 2}
 	}
+	conf := engine.Config{Executors: 4, CoresPerExecutor: 2, Partitions: 8}
 	for _, rows := range rowsGrid {
-		ds, err := Generate("income", rows, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b := engine.NewNativeBackend(engine.Config{Executors: 4, CoresPerExecutor: 2, Partitions: 8})
-		p, err := miner.Prepare(b, ds.ds, miner.PrepOptions{SampleSize: 64, Seed: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		record := func(name string, res *miner.Result) {
+		b := engine.NewNativeBackend(conf)
+		preparedAnswers(t, b, rows, ks, seeds, func(name string, res *miner.Result) {
 			order = append(order, name)
 			got[name] = formatAnswer(res)
-		}
-		for _, s := range []int{0, 64} {
-			for _, v := range []miner.Variant{miner.Optimized, miner.RCT, miner.MultiRule} {
-				for _, k := range ks {
-					for _, seed := range seeds {
-						res, err := p.Mine(miner.Options{K: k, SampleSize: s, Variant: v, Seed: seed})
-						if err != nil {
-							t.Fatal(err)
-						}
-						record(fmt.Sprintf("income/%d mine s=%d %v K=%d seed=%d", rows, s, v, k, seed), res)
-					}
-				}
-			}
-		}
-		for _, g := range []int{1, 9} {
-			for _, k := range ks {
-				for _, seed := range seeds {
-					rec, err := explore.RunPrepared(p, explore.Options{K: k, GroupBys: g, Optimized: true, MultiRule: true, Seed: seed})
-					if err != nil {
-						t.Fatal(err)
-					}
-					record(fmt.Sprintf("income/%d explore groupbys=%d K=%d seed=%d", rows, g, k, seed), rec.Result)
-				}
-			}
-		}
-		p.Drop()
+		})
 		b.Close()
 	}
 	if *update {
@@ -96,6 +66,53 @@ func TestPreparedAnswersGolden(t *testing.T) {
 			t.Errorf("%s: not in %s (run with -update)", name, goldenPrepared)
 		case got[name] != w:
 			t.Errorf("%s moved:\n\tgot  %s\n\twant %s", name, got[name], w)
+		}
+	}
+
+	sim := engine.NewSimBackend(conf)
+	defer sim.Close()
+	preparedAnswers(t, sim, 1000, ks, seeds, func(name string, res *miner.Result) {
+		if g, w := formatAnswer(res), want[name]; g != w {
+			t.Errorf("sim backend: %s moved:\n\tgot  %s\n\twant %s", name, g, w)
+		}
+	})
+}
+
+// preparedAnswers prepares income/rows on b and records the answer of every
+// query of the golden grid under its line name.
+func preparedAnswers(t *testing.T, b engine.Backend, rows int, ks []int, seeds []int64, record func(string, *miner.Result)) {
+	t.Helper()
+	ds, err := Generate("income", rows, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := miner.Prepare(b, ds.ds, miner.PrepOptions{SampleSize: 64, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Drop()
+	for _, s := range []int{0, 64} {
+		for _, v := range []miner.Variant{miner.Optimized, miner.RCT, miner.MultiRule} {
+			for _, k := range ks {
+				for _, seed := range seeds {
+					res, err := p.Mine(miner.Options{K: k, SampleSize: s, Variant: v, Seed: seed})
+					if err != nil {
+						t.Fatal(err)
+					}
+					record(fmt.Sprintf("income/%d mine s=%d %v K=%d seed=%d", rows, s, v, k, seed), res)
+				}
+			}
+		}
+	}
+	for _, g := range []int{1, 9} {
+		for _, k := range ks {
+			for _, seed := range seeds {
+				rec, err := explore.RunPrepared(p, explore.Options{K: k, GroupBys: g, Optimized: true, MultiRule: true, Seed: seed})
+				if err != nil {
+					t.Fatal(err)
+				}
+				record(fmt.Sprintf("income/%d explore groupbys=%d K=%d seed=%d", rows, g, k, seed), rec.Result)
+			}
 		}
 	}
 }
