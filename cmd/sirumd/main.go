@@ -9,8 +9,6 @@
 //
 //	sirumd [-addr :8080] [-inflight 16] [-cache 256] [-snapshot dir]
 //	       [-nofsync] [-shard-id s0] [-advertise http://host:8080]
-//	sirumd -selftest [-dataset income] [-rows 5000] [-queries 64]
-//	       [-concurrency 8] [-k 3] [-sample 16]
 //
 // -shard-id and -advertise put the daemon in shard mode under a sirumr
 // router: the id labels the shard in health checks and metrics, and the
@@ -32,12 +30,10 @@
 //	GET    /v1/metrics              Prometheus-style text metrics
 //	GET    /v1/healthz
 //
-// -selftest starts the daemon on a loopback port, fires a storm of
-// concurrent mixed mine/explore queries through the full HTTP path (cold
-// misses and cache hits both, reporting the hit rate alongside p50/p95),
-// then kills the daemon and restarts it from its snapshot directory,
-// verifying the restored sessions answer the pre-restart baselines — the
-// serving path's measurable correctness check.
+// The daemon prints the address it bound (so -addr 127.0.0.1:0 works) and
+// serves until SIGINT or SIGTERM, then drains. Its end-to-end checks live
+// in the server suite (internal/server) and in the serve workload of
+// go run ./benchmark.
 package main
 
 import (
@@ -50,7 +46,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -58,13 +53,17 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:], os.Stdout)
+	stop()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "sirumd:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string, out io.Writer) error {
+// run parses args and serves until ctx is done.
+func run(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("sirumd", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "listen address")
 	inflight := fs.Int("inflight", 0, "max concurrently executing queries (0 = 2x cores); excess requests queue")
@@ -73,13 +72,6 @@ func run(args []string, out io.Writer) error {
 	nofsync := fs.Bool("nofsync", false, "skip fsync on snapshot writes: faster, but a crash can lose acknowledged appends (benchmarks and tests only)")
 	shardID := fs.String("shard-id", "", "logical shard name reported to routers via /v1/healthz and /v1/metrics (empty = standalone)")
 	advertise := fs.String("advertise", "", "address other nodes reach this daemon at, if it differs from -addr")
-	selftest := fs.Bool("selftest", false, "start on a loopback port, run the load generator and a restart-from-snapshot pass, and exit")
-	dataset := fs.String("dataset", "income", "selftest: built-in dataset backing the load session")
-	rows := fs.Int("rows", 5000, "selftest: dataset rows")
-	queries := fs.Int("queries", 64, "selftest: total queries to fire")
-	concurrency := fs.Int("concurrency", 8, "selftest: concurrent client workers")
-	k := fs.Int("k", 3, "selftest: rules per query")
-	sample := fs.Int("sample", 16, "selftest: |s| for candidate pruning")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -88,25 +80,6 @@ func run(args []string, out io.Writer) error {
 		MaxInFlight: *inflight, CacheEntries: *cache, SnapshotDir: *snapshot,
 		ShardID: *shardID, Advertise: *advertise, NoFsync: *nofsync,
 	}
-	if *selftest {
-		if conf.SnapshotDir == "" {
-			dir, err := os.MkdirTemp("", "sirumd-selftest-*")
-			if err != nil {
-				return err
-			}
-			defer os.RemoveAll(dir)
-			conf.SnapshotDir = dir
-		}
-		return runSelftest(out, conf, server.LoadConfig{
-			Dataset:     *dataset,
-			Rows:        *rows,
-			Queries:     *queries,
-			Concurrency: *concurrency,
-			K:           *k,
-			SampleSize:  *sample,
-		})
-	}
-
 	srv := server.New(conf)
 	if conf.SnapshotDir != "" {
 		n, err := srv.Restore()
@@ -116,24 +89,26 @@ func run(args []string, out io.Writer) error {
 		}
 		fmt.Fprintf(out, "sirumd restored %d sessions from %s\n", n, conf.SnapshotDir)
 	}
-	return serve(out, srv, *addr)
+	return serve(ctx, out, srv, *addr)
 }
 
-// serve runs the daemon until SIGINT/SIGTERM, then drains: the HTTP server
+// serve runs the daemon until ctx is done, then drains: the HTTP server
 // stops accepting and waits for active requests, and the app server waits
 // for admitted queries before closing any prepared session.
-func serve(out io.Writer, srv *server.Server, addr string) error {
-	httpSrv := &http.Server{Addr: addr, Handler: srv.Handler()}
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-
+func serve(ctx context.Context, out io.Writer, srv *server.Server, addr string) error {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		srv.Close()
+		return err
+	}
+	httpSrv := &http.Server{Handler: srv.Handler()}
 	errc := make(chan error, 1)
 	go func() {
-		if err := httpSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
+		if err := httpSrv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
 			errc <- err
 		}
 	}()
-	fmt.Fprintf(out, "sirumd listening on %s\n", addr)
+	fmt.Fprintf(out, "sirumd listening on %s\n", ln.Addr())
 
 	select {
 	case err := <-errc:
@@ -144,7 +119,7 @@ func serve(out io.Writer, srv *server.Server, addr string) error {
 	fmt.Fprintln(out, "sirumd draining...")
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	err := httpSrv.Shutdown(shutdownCtx)
+	err = httpSrv.Shutdown(shutdownCtx)
 	// Even when the drain timed out, still run the app-level Close: it waits
 	// for the straggler queries (a running mine cannot be cancelled
 	// mid-flight) and then tears sessions and their spill directories down.
@@ -152,149 +127,4 @@ func serve(out io.Writer, srv *server.Server, addr string) error {
 		err = cerr
 	}
 	return err
-}
-
-// loopback serves srv on an ephemeral loopback port, returning the base
-// URL and a teardown that closes the HTTP listener and the app server.
-func loopback(srv *server.Server) (base string, shutdown func(), err error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", nil, err
-	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
-	go httpSrv.Serve(ln)
-	return "http://" + ln.Addr().String(), func() {
-		httpSrv.Close()
-		srv.Close()
-	}, nil
-}
-
-// runSelftest drives the whole serving path in-process: the load storm,
-// then a kill-and-restart pass against the snapshot directory.
-func runSelftest(out io.Writer, conf server.Config, cfg server.LoadConfig) error {
-	srv := server.New(conf)
-	base, shutdown, err := loopback(srv)
-	if err != nil {
-		srv.Close()
-		return err
-	}
-	cfg.BaseURL = base
-	fmt.Fprintf(out, "selftest: %d queries x %d workers on %s (%d rows)\n",
-		cfg.Queries, cfg.Concurrency, cfg.Dataset, cfg.Rows)
-	rep, err := server.RunLoad(cfg)
-	if err != nil {
-		shutdown()
-		return err
-	}
-	fmt.Fprintln(out, rep)
-	if rep.Errors > 0 {
-		shutdown()
-		return fmt.Errorf("selftest: %d of %d queries failed: %s", rep.Errors, rep.Queries, rep.FirstError)
-	}
-
-	if err := restartCheck(out, conf, cfg, srv, base, shutdown); err != nil {
-		return fmt.Errorf("snapshot restart: %w", err)
-	}
-	return nil
-}
-
-// restartCheck proves persistence end to end: register a generator session
-// and a CSV session (with one appended batch) on the live daemon, record
-// baseline mines, kill the daemon, restore a fresh one from the snapshot
-// directory, and require the restored registry to serve the same sessions
-// with baseline-identical answers.
-func restartCheck(out io.Writer, conf server.Config, cfg server.LoadConfig, srv *server.Server, base string, shutdown func()) error {
-	// cfg is the raw LoadConfig (RunLoad defaults only its own copy);
-	// never run the check with an unbounded client, or a wedged daemon
-	// hangs the selftest instead of failing it.
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 2 * time.Minute
-	}
-	c := &server.Client{BaseURL: base, HTTP: &http.Client{Timeout: cfg.Timeout}}
-	mineReq := server.MineRequest{K: cfg.K, SampleSize: cfg.SampleSize, Seed: 1}
-
-	rows := cfg.Rows / 4
-	if rows < 200 {
-		rows = 200
-	}
-	if err := c.Do("POST", "/v1/datasets", server.CreateRequest{
-		ID:        "persist-gen",
-		Generator: &server.GeneratorSpec{Name: cfg.Dataset, Rows: rows, Seed: 1},
-		Prepare:   server.PrepareSpec{SampleSize: cfg.SampleSize, Seed: 1},
-	}, nil); err != nil {
-		shutdown()
-		return err
-	}
-	var sb strings.Builder
-	sb.WriteString("Day,City,Delay\n")
-	for i := 0; i < 24; i++ {
-		fmt.Fprintf(&sb, "%s,%s,%d\n", []string{"Mon", "Tue", "Wed"}[i%3], []string{"NY", "LA"}[i%2], 10+i%7)
-	}
-	if err := c.Do("POST", "/v1/datasets", server.CreateRequest{
-		ID: "persist-csv", CSV: sb.String(), Measure: "Delay",
-	}, nil); err != nil {
-		shutdown()
-		return err
-	}
-	// One appended batch, so the restart also proves journal replay.
-	if err := c.Do("POST", "/v1/datasets/persist-csv/append", server.AppendRequest{
-		Rows: []server.RowJSON{
-			{Dims: []string{"Thu", "NY"}, Measure: 55},
-			{Dims: []string{"Thu", "LA"}, Measure: 60},
-		},
-		MineRequest: server.MineRequest{K: 2},
-	}, nil); err != nil {
-		shutdown()
-		return err
-	}
-	baselines := map[string]server.MineResponse{}
-	for _, id := range []string{"persist-gen", "persist-csv"} {
-		var resp server.MineResponse
-		if err := c.Do("POST", "/v1/datasets/"+id+"/mine", mineReq, &resp); err != nil {
-			shutdown()
-			return err
-		}
-		baselines[id] = resp
-	}
-
-	shutdown() // kill the daemon; the snapshot directory is all that survives
-
-	restored := server.New(conf)
-	n, err := restored.Restore()
-	if err != nil {
-		restored.Close()
-		return err
-	}
-	base2, shutdown2, err := loopback(restored)
-	if err != nil {
-		restored.Close()
-		return err
-	}
-	defer shutdown2()
-	c2 := &server.Client{BaseURL: base2, HTTP: &http.Client{Timeout: cfg.Timeout}}
-
-	var list server.ListResponse
-	if err := c2.Do("GET", "/v1/datasets", nil, &list); err != nil {
-		return err
-	}
-	if len(list.Sessions) != n {
-		return fmt.Errorf("restored %d sessions but list shows %d", n, len(list.Sessions))
-	}
-	for id, want := range baselines {
-		var got server.MineResponse
-		if err := c2.Do("POST", "/v1/datasets/"+id+"/mine", mineReq, &got); err != nil {
-			return err
-		}
-		if len(got.Rules) != len(want.Rules) {
-			return fmt.Errorf("session %q: %d rules after restart, %d before", id, len(got.Rules), len(want.Rules))
-		}
-		for i := range got.Rules {
-			if got.Rules[i].Display != want.Rules[i].Display || got.Rules[i].Count != want.Rules[i].Count {
-				return fmt.Errorf("session %q rule %d: %s (%d) after restart vs %s (%d) before",
-					id, i, got.Rules[i].Display, got.Rules[i].Count, want.Rules[i].Display, want.Rules[i].Count)
-			}
-		}
-	}
-	fmt.Fprintf(out, "snapshot restart: %d sessions restored, %d baselines verified\n", n, len(baselines))
-	return nil
 }

@@ -11,8 +11,6 @@
 //	sirumr -shards http://h1:8080,http://h2:8080 [-addr :8090]
 //	       [-replicas 128] [-health 2s] [-timeout 2m]
 //	sirumr migrate -shard s1 [-router http://127.0.0.1:8090] [-timeout 10m]
-//	sirumr -selftest [-shard-count 3] [-sessions 32] [-dataset income]
-//	       [-rows 2000] [-queries 64] [-concurrency 8] [-k 3] [-sample 16]
 //
 // Cluster endpoints on top of the proxied /v1 surface:
 //
@@ -32,12 +30,10 @@
 // The order of -shards is the cluster's identity: placement hashes shard
 // positions, so keep the list stable across router restarts.
 //
-// -selftest stands up an in-process cluster (shard daemons on loopback
-// ports plus the router) and drives the load generator through the router:
-// ≥32 sessions spread over the shards, a concurrent mixed query storm with
-// every same-spec answer cross-checked across shards, repeat queries
-// required to come back "cached": true through the proxy, and the
-// per-shard session balance required to stay under 2x the mean.
+// Each -shards entry must be an absolute http or https URL; surrounding
+// spaces are trimmed. The router prints the address it bound and serves
+// until SIGINT or SIGTERM. Its end-to-end checks live in the router suite
+// (internal/router) and in the route workload of go run ./benchmark.
 package main
 
 import (
@@ -59,13 +55,18 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:], os.Stdout)
+	stop()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "sirumr:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string, out io.Writer) error {
+// run parses args and either serves the router until ctx is done or runs
+// the migrate subcommand.
+func run(ctx context.Context, args []string, out io.Writer) error {
 	if len(args) > 0 && args[0] == "migrate" {
 		return runMigrate(args[1:], out)
 	}
@@ -75,36 +76,18 @@ func run(args []string, out io.Writer) error {
 	replicas := fs.Int("replicas", 0, "virtual ring points per shard (0 = 128)")
 	health := fs.Duration("health", 0, "health-check interval (0 = 2s)")
 	timeout := fs.Duration("timeout", 0, "per-request proxy timeout (0 = 2m)")
-	selftest := fs.Bool("selftest", false, "stand up an in-process cluster, drive the load generator through the router, verify balance/cache/consistency, and exit")
-	shardCount := fs.Int("shard-count", 3, "selftest: in-process shard daemons to stand up")
-	sessions := fs.Int("sessions", 32, "selftest: sessions to spread over the shards (minimum 32; the balance bound is judged over them)")
-	dataset := fs.String("dataset", "income", "selftest: built-in dataset backing the load sessions")
-	rows := fs.Int("rows", 2000, "selftest: dataset rows per session")
-	queries := fs.Int("queries", 64, "selftest: total queries to fire")
-	concurrency := fs.Int("concurrency", 8, "selftest: concurrent client workers")
-	k := fs.Int("k", 3, "selftest: rules per query")
-	sample := fs.Int("sample", 16, "selftest: |s| for candidate pruning")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-
-	if *selftest {
-		return runSelftest(out, *shardCount, server.LoadConfig{
-			Dataset:     *dataset,
-			Rows:        *rows,
-			Queries:     *queries,
-			Concurrency: *concurrency,
-			K:           *k,
-			SampleSize:  *sample,
-			Sessions:    *sessions,
-		})
-	}
-
 	if *shards == "" {
 		return errors.New("-shards is required (comma-separated shard URLs)")
 	}
+	bases := strings.Split(*shards, ",")
+	for i := range bases {
+		bases[i] = strings.TrimSpace(bases[i])
+	}
 	rt, err := router.New(router.Config{
-		Shards:         strings.Split(*shards, ","),
+		Shards:         bases,
 		Replicas:       *replicas,
 		HealthInterval: *health,
 		Timeout:        *timeout,
@@ -114,7 +97,7 @@ func run(args []string, out io.Writer) error {
 	}
 	rt.Start()
 	defer rt.Close()
-	return serve(out, rt, *addr)
+	return serve(ctx, out, rt, *addr)
 }
 
 // runMigrate drives POST /v1/shards/{id}/migrate against a running router:
@@ -152,20 +135,21 @@ func runMigrate(args []string, out io.Writer) error {
 	return nil
 }
 
-// serve runs the router until SIGINT/SIGTERM. The router holds no
-// sessions, so draining is only the HTTP server's concern.
-func serve(out io.Writer, rt *router.Router, addr string) error {
-	httpSrv := &http.Server{Addr: addr, Handler: rt.Handler()}
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-
+// serve runs the router until ctx is done. The router holds no sessions,
+// so draining is only the HTTP server's concern.
+func serve(ctx context.Context, out io.Writer, rt *router.Router, addr string) error {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
+	httpSrv := &http.Server{Handler: rt.Handler()}
 	errc := make(chan error, 1)
 	go func() {
-		if err := httpSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
+		if err := httpSrv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
 			errc <- err
 		}
 	}()
-	fmt.Fprintf(out, "sirumr listening on %s\n", addr)
+	fmt.Fprintf(out, "sirumr listening on %s\n", ln.Addr())
 
 	select {
 	case err := <-errc:
@@ -176,273 +160,4 @@ func serve(out io.Writer, rt *router.Router, addr string) error {
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	return httpSrv.Shutdown(shutdownCtx)
-}
-
-// shardDaemon is one in-process selftest shard: an app server on a
-// loopback listener.
-type shardDaemon struct {
-	srv  *server.Server
-	http *http.Server
-	base string
-}
-
-func startShard(id string) (*shardDaemon, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	srv := server.New(server.Config{ShardID: id, Advertise: "http://" + ln.Addr().String()})
-	hs := &http.Server{Handler: srv.Handler()}
-	go hs.Serve(ln)
-	return &shardDaemon{srv: srv, http: hs, base: "http://" + ln.Addr().String()}, nil
-}
-
-func (d *shardDaemon) stop() {
-	d.http.Close()
-	d.srv.Close()
-}
-
-// runSelftest proves the routed cluster end to end: shards up, router up,
-// the load storm spread over the ring, then the three routed-serving
-// acceptance checks — cross-shard consistency, cache hits through the
-// proxy, and per-shard balance within 2x of the mean.
-func runSelftest(out io.Writer, shardCount int, cfg server.LoadConfig) error {
-	if shardCount < 2 {
-		return fmt.Errorf("selftest needs at least 2 shards, got %d", shardCount)
-	}
-	if cfg.Sessions < 32 {
-		return fmt.Errorf("selftest needs -sessions >= 32 for the balance bound to mean anything, got %d", cfg.Sessions)
-	}
-	var daemons []*shardDaemon
-	defer func() {
-		for _, d := range daemons {
-			d.stop()
-		}
-	}()
-	bases := make([]string, 0, shardCount)
-	for i := 0; i < shardCount; i++ {
-		d, err := startShard(fmt.Sprintf("s%d", i))
-		if err != nil {
-			return err
-		}
-		daemons = append(daemons, d)
-		bases = append(bases, d.base)
-	}
-	rt, err := router.New(router.Config{Shards: bases})
-	if err != nil {
-		return err
-	}
-	rt.Start()
-	defer rt.Close()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	routerSrv := &http.Server{Handler: rt.Handler()}
-	go routerSrv.Serve(ln)
-	defer routerSrv.Close()
-	cfg.BaseURL = "http://" + ln.Addr().String()
-
-	fmt.Fprintf(out, "selftest: %d queries x %d workers over %d sessions on %d shards (%s, %d rows)\n",
-		cfg.Queries, cfg.Concurrency, cfg.Sessions, shardCount, cfg.Dataset, cfg.Rows)
-	rep, err := server.RunLoad(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(out, rep)
-	if rep.Errors > 0 {
-		return fmt.Errorf("selftest: %d of %d queries failed: %s", rep.Errors, rep.Queries, rep.FirstError)
-	}
-	if rep.Consistency != "verified" {
-		return fmt.Errorf("selftest: cross-shard consistency not verified: %s", rep.Consistency)
-	}
-	if rep.CacheHits == 0 {
-		return errors.New("selftest: no repeat query reported \"cached\": true through the proxy")
-	}
-	if len(rep.ShardSessions) != shardCount {
-		return fmt.Errorf("selftest: balance report covers %d shards, want %d", len(rep.ShardSessions), shardCount)
-	}
-	var total, max int64
-	for _, n := range rep.ShardSessions {
-		total += n
-		if n > max {
-			max = n
-		}
-	}
-	if total < int64(cfg.Sessions) {
-		return fmt.Errorf("selftest: balance judged over %d sessions, want >= %d", total, cfg.Sessions)
-	}
-	mean := float64(total) / float64(shardCount)
-	if float64(max) > 2*mean {
-		return fmt.Errorf("selftest: shard imbalance: max %d sessions vs mean %.1f (over 2x)", max, mean)
-	}
-	fmt.Fprintf(out, "balance: max %d sessions per shard vs mean %.1f over %d sessions — within 2x\n", max, mean, total)
-	if err := migratePass(out, cfg.BaseURL, daemons, cfg); err != nil {
-		return fmt.Errorf("migrate pass: %w", err)
-	}
-	return nil
-}
-
-// migratePass proves decommissioning end to end: spread a handful of
-// sessions over the cluster (some grown past epoch 0 by appends), pick the
-// fullest shard, record per-session baselines, migrate the whole shard
-// through the router, then verify the origin emptied, every sampled
-// session serves from its new home with an identical fingerprint and
-// epoch, answers match the pre-migration baselines, and a repeat query
-// hits the destination's result cache.
-func migratePass(out io.Writer, baseURL string, daemons []*shardDaemon, cfg server.LoadConfig) error {
-	rc := &server.Client{BaseURL: baseURL, HTTP: &http.Client{Timeout: 10 * time.Minute}}
-
-	// The load storm deletes its sessions on the way out, so the pass
-	// seeds its own: six sessions (two named, four anonymous), two of
-	// them appended to so migration replays a non-empty append journal.
-	var ids []string
-	for i := 0; i < 6; i++ {
-		req := server.CreateRequest{
-			Generator: &server.GeneratorSpec{Name: cfg.Dataset, Rows: cfg.Rows, Seed: 1},
-			Prepare:   server.PrepareSpec{SampleSize: cfg.SampleSize, Seed: 1},
-		}
-		if i < 2 {
-			req.ID = fmt.Sprintf("migrate-pass-%d", i)
-		}
-		info, err := rc.CreateSession(req)
-		if err != nil {
-			return fmt.Errorf("creating session %d: %w", i, err)
-		}
-		ids = append(ids, info.ID)
-		if i%3 == 0 {
-			dims := make([]string, len(info.Dims))
-			for d := range dims {
-				dims[d] = "migrated-row"
-			}
-			if _, err := rc.AppendRows(info.ID, server.AppendRequest{
-				Rows: []server.RowJSON{{Dims: dims, Measure: 5}},
-			}); err != nil {
-				return fmt.Errorf("appending to %s: %w", info.ID, err)
-			}
-		}
-	}
-	defer func() {
-		for _, id := range ids {
-			rc.DeleteSession(id)
-		}
-	}()
-
-	// The fullest shard gives the migration the most to prove.
-	origin, originSessions := -1, server.ListResponse{}
-	for i, d := range daemons {
-		sc := &server.Client{BaseURL: d.base, HTTP: &http.Client{Timeout: time.Minute}}
-		list, err := sc.ListSessions()
-		if err != nil {
-			return fmt.Errorf("listing shard %d: %w", i, err)
-		}
-		if origin < 0 || len(list.Sessions) > len(originSessions.Sessions) {
-			origin, originSessions = i, list
-		}
-	}
-	if len(originSessions.Sessions) == 0 {
-		return errors.New("no shard holds any sessions")
-	}
-	originID := fmt.Sprintf("s%d", origin)
-
-	type baseline struct {
-		id          string
-		fingerprint string
-		epoch       int64
-		rules       []string
-	}
-	mineReq := server.MineRequest{K: cfg.K, SampleSize: cfg.SampleSize, Seed: 7}
-	ruleList := func(resp server.MineResponse) []string {
-		rules := make([]string, 0, len(resp.Rules))
-		for _, r := range resp.Rules {
-			rules = append(rules, r.Display)
-		}
-		return rules
-	}
-	var baselines []baseline
-	for _, info := range originSessions.Sessions {
-		if len(baselines) == 3 {
-			break
-		}
-		got, err := rc.GetSession(info.ID)
-		if err != nil {
-			return err
-		}
-		if got.Stats == nil {
-			return fmt.Errorf("session %s reports no stats through the router", info.ID)
-		}
-		resp, err := rc.Mine(info.ID, mineReq)
-		if err != nil {
-			return err
-		}
-		baselines = append(baselines, baseline{
-			id: info.ID, fingerprint: got.Stats.Fingerprint, epoch: got.Stats.Epoch, rules: ruleList(resp),
-		})
-	}
-
-	var migrated router.MigrateResponse
-	if err := rc.Do("POST", "/v1/shards/"+originID+"/migrate", nil, &migrated); err != nil {
-		return err
-	}
-	if migrated.Remaining > 0 {
-		return fmt.Errorf("%d of %d sessions failed to migrate off %s: %s",
-			migrated.Remaining, len(originSessions.Sessions), originID, migrated.Failed[0].Error)
-	}
-	if len(migrated.Moved) != len(originSessions.Sessions) {
-		return fmt.Errorf("moved %d sessions, want %d", len(migrated.Moved), len(originSessions.Sessions))
-	}
-
-	// The origin must be empty: every copy deleted, not just retargeted.
-	sc := &server.Client{BaseURL: daemons[origin].base, HTTP: &http.Client{Timeout: time.Minute}}
-	left, err := sc.ListSessions()
-	if err != nil {
-		return err
-	}
-	if len(left.Sessions) > 0 {
-		return fmt.Errorf("origin %s still holds %d sessions after migration", originID, len(left.Sessions))
-	}
-
-	for _, b := range baselines {
-		got, err := rc.GetSession(b.id)
-		if err != nil {
-			return fmt.Errorf("session %s after migration: %w", b.id, err)
-		}
-		if got.Stats == nil || got.Stats.Fingerprint != b.fingerprint || got.Stats.Epoch != b.epoch {
-			return fmt.Errorf("session %s changed identity across migration: fingerprint/epoch mismatch", b.id)
-		}
-		fresh, err := rc.Mine(b.id, mineReq)
-		if err != nil {
-			return fmt.Errorf("mining %s on its new home: %w", b.id, err)
-		}
-		if got := ruleList(fresh); !equalStrings(got, b.rules) {
-			return fmt.Errorf("session %s answers differently on its new home: %v vs %v", b.id, got, b.rules)
-		}
-		repeat, err := rc.Mine(b.id, mineReq)
-		if err != nil {
-			return err
-		}
-		if !repeat.Cached {
-			return fmt.Errorf("repeat query on migrated session %s missed the destination's result cache", b.id)
-		}
-	}
-	// Put the emptied shard back in rotation so the selftest ends with a
-	// healthy cluster (and exercises undrain while at it).
-	if err := rc.Do("POST", "/v1/shards/"+originID+"/undrain", nil, nil); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "migrate: %d sessions off %s, origin empty, %d verified by fingerprint+epoch+baseline, repeat queries cached on destination\n",
-		len(migrated.Moved), originID, len(baselines))
-	return nil
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"sort"
 	"strings"
 	"sync"
@@ -53,15 +54,13 @@ type Config struct {
 	// HealthInterval spaces the background health sweeps (default 2s;
 	// negative disables the loop — tests drive CheckHealth directly).
 	HealthInterval time.Duration
-	// HealthTimeout bounds one health probe (default 2s).
-	HealthTimeout time.Duration
-	// Timeout bounds one proxied request (default 2 minutes, matching the
-	// load generator's ceiling for a cold mine).
+	// Timeout bounds one proxied request (default 2 minutes, room for a
+	// cold mine on a large session).
 	Timeout time.Duration
-	// MaxBodyBytes caps a request body before it is forwarded (default
-	// 64 MiB, the shard daemons' own cap).
-	MaxBodyBytes int64
 }
+
+// healthTimeout bounds one health probe.
+const healthTimeout = 2 * time.Second
 
 func (c Config) withDefaults() Config {
 	if c.Replicas <= 0 {
@@ -70,14 +69,8 @@ func (c Config) withDefaults() Config {
 	if c.HealthInterval == 0 {
 		c.HealthInterval = 2 * time.Second
 	}
-	if c.HealthTimeout <= 0 {
-		c.HealthTimeout = 2 * time.Second
-	}
 	if c.Timeout <= 0 {
 		c.Timeout = 2 * time.Minute
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 64 << 20
 	}
 	return c
 }
@@ -87,7 +80,7 @@ type shard struct {
 	index  int
 	base   string
 	client *server.Client // data plane, Config.Timeout
-	health *server.Client // health probes, Config.HealthTimeout
+	health *server.Client // health probes, healthTimeout
 
 	down     atomic.Bool
 	draining atomic.Bool
@@ -153,6 +146,9 @@ func New(conf Config) (*Router, error) {
 		if base == "" {
 			return nil, fmt.Errorf("router: shard %d has an empty URL", i)
 		}
+		if u, err := url.Parse(base); err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
+			return nil, fmt.Errorf("router: shard %d URL %q is not an absolute http(s) URL with a host", i, base)
+		}
 		if seen[base] {
 			return nil, fmt.Errorf("router: shard URL %q listed twice", base)
 		}
@@ -161,7 +157,7 @@ func New(conf Config) (*Router, error) {
 			index:  i,
 			base:   base,
 			client: &server.Client{BaseURL: base, HTTP: &http.Client{Timeout: conf.Timeout}},
-			health: &server.Client{BaseURL: base, HTTP: &http.Client{Timeout: conf.HealthTimeout}},
+			health: &server.Client{BaseURL: base, HTTP: &http.Client{Timeout: healthTimeout}},
 		}
 		sh.id.Store(fmt.Sprintf("s%d", i))
 		rt.shards = append(rt.shards, sh)
@@ -514,14 +510,29 @@ func (rt *Router) wrap(h func(w http.ResponseWriter, r *http.Request) error) htt
 	}
 }
 
+var errBodyTooLarge = errf(http.StatusRequestEntityTooLarge, "request body over %d bytes", server.DefaultMaxBodyBytes)
+
+// capBody puts r's body under the router's size cap, the shard daemons'
+// own default cap. A declared length over it is refused before a byte is
+// read or a shard is contacted.
+func capBody(w http.ResponseWriter, r *http.Request) (*capReader, error) {
+	if r.ContentLength > server.DefaultMaxBodyBytes {
+		return nil, errBodyTooLarge
+	}
+	return &capReader{r: http.MaxBytesReader(w, r.Body, server.DefaultMaxBodyBytes)}, nil
+}
+
 // readBody drains a request body under the router's size cap.
 func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.conf.MaxBodyBytes))
+	cr, err := capBody(w, r)
 	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			return nil, errf(http.StatusRequestEntityTooLarge, "request body over %d bytes", tooLarge.Limit)
-		}
+		return nil, err
+	}
+	body, err := io.ReadAll(cr)
+	if cr.tooLarge {
+		return nil, errBodyTooLarge
+	}
+	if err != nil {
 		return nil, errf(http.StatusBadRequest, "reading request body: %v", err)
 	}
 	return body, nil
@@ -553,7 +564,6 @@ func relayStream(w http.ResponseWriter, resp *server.StreamResponse) {
 // the shard for an upload the client aborted.
 type capReader struct {
 	r        io.Reader
-	limit    int64
 	tooLarge bool
 	readErr  error // first client-side read failure (not EOF, not the cap)
 }
@@ -599,7 +609,7 @@ func (rt *Router) forwardStream(sh *shard, method, path, contentType string, bod
 	resp, err := sh.client.DoStream(method, path, contentType, rd, length)
 	if err != nil {
 		if body != nil && body.tooLarge {
-			return nil, errf(http.StatusRequestEntityTooLarge, "request body over %d bytes", body.limit)
+			return nil, errBodyTooLarge
 		}
 		if body != nil && body.readErr != nil {
 			// The shard connection held; the *client's* body stream died
@@ -746,10 +756,10 @@ func (rt *Router) handleSession(w http.ResponseWriter, r *http.Request) error {
 	var body *capReader
 	length := int64(-1)
 	if r.Method == http.MethodPost {
-		if r.ContentLength > rt.conf.MaxBodyBytes {
-			return errf(http.StatusRequestEntityTooLarge, "request body over %d bytes", rt.conf.MaxBodyBytes)
+		var err error
+		if body, err = capBody(w, r); err != nil {
+			return err
 		}
-		body = &capReader{r: http.MaxBytesReader(w, r.Body, rt.conf.MaxBodyBytes), limit: rt.conf.MaxBodyBytes}
 		length = r.ContentLength
 	}
 	resp, err := rt.forwardStream(sh, r.Method, path, r.Header.Get("Content-Type"), body, length)

@@ -840,7 +840,7 @@ func TestRouterTableResync(t *testing.T) {
 
 // TestRingProperties pins the ring's determinism and spread: every walk
 // covers all shards exactly once, and 32 id-hashed keys stay within 2x of
-// the mean across 3 shards — the same bound the selftest enforces.
+// the mean across 3 shards.
 func TestRingProperties(t *testing.T) {
 	r := newRing(3, 128)
 	counts := make([]int, 3)
@@ -874,5 +874,111 @@ func TestRingProperties(t *testing.T) {
 		if w1[i] != w2[i] {
 			t.Fatalf("ring walk not deterministic: %v vs %v", w1, w2)
 		}
+	}
+}
+
+// TestNewRejectsBadShardList pins boot-time validation of the topology: a
+// shard entry the router could never reach is refused by New instead of
+// passing boot and then failing every request sent to it.
+func TestNewRejectsBadShardList(t *testing.T) {
+	cases := []struct {
+		name   string
+		shards []string
+		ok     bool
+	}{
+		{"empty list", nil, false},
+		{"empty entry", []string{"http://127.0.0.1:1", ""}, false},
+		{"duplicate after trailing-slash trim", []string{"http://127.0.0.1:1/", "http://127.0.0.1:1"}, false},
+		{"leading space", []string{" http://127.0.0.1:1"}, false},
+		{"no scheme, ip host", []string{"127.0.0.1:8080"}, false},
+		{"no scheme, name host", []string{"h1:8080"}, false},
+		{"ftp scheme", []string{"ftp://x"}, false},
+		{"http and https", []string{"http://127.0.0.1:1/", "https://127.0.0.1:2"}, true},
+	}
+	for _, tc := range cases {
+		rt, err := New(Config{Shards: tc.shards, HealthInterval: -1})
+		if rt != nil {
+			rt.Close()
+		}
+		if ok := err == nil; ok != tc.ok {
+			t.Errorf("%s: New(%q) error %v, want accepted=%v", tc.name, tc.shards, err, tc.ok)
+		}
+	}
+}
+
+// spaces is an endless stream of JSON whitespace.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
+// TestRouterBodyCap pins the router's 413 paths. A declared length over
+// the cap is refused without a shard hop; a chunked append that crosses
+// the cap mid-stream is refused after the relay began, without blaming the
+// shard: it stays up, the proxy-error counter does not move, and the
+// session keeps serving.
+func TestRouterBodyCap(t *testing.T) {
+	// The shard is a real daemon, except that it discards a body of
+	// undeclared length unread instead of buffering the whole cap.
+	srv := server.New(server.Config{})
+	shard := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.ContentLength < 0 {
+			io.Copy(io.Discard, r.Body)
+			return
+		}
+		srv.Handler().ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+	defer shard.Close()
+	rt, err := New(Config{Shards: []string{shard.URL}, HealthInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	ts := httptest.NewServer(rt.Handler())
+	defer ts.Close()
+	c := &server.Client{BaseURL: ts.URL, HTTP: &http.Client{Timeout: time.Minute}}
+	if _, err := c.CreateSession(server.CreateRequest{ID: "cap", CSV: testCSV, Measure: "Delay"}); err != nil {
+		t.Fatal(err)
+	}
+
+	post := func(path string, body io.Reader, length int64) int {
+		req := httptest.NewRequest("POST", path, body)
+		req.ContentLength = length
+		rec := httptest.NewRecorder()
+		rt.Handler().ServeHTTP(rec, req)
+		return rec.Code
+	}
+	proxied, errs := rt.proxied.Load(), rt.proxyErrs.Load()
+	for _, path := range []string{"/v1/datasets", "/v1/datasets/cap/append"} {
+		if code := post(path, strings.NewReader("{}"), server.DefaultMaxBodyBytes+1); code != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s declaring a length over the cap: status %d, want 413", path, code)
+		}
+	}
+	if got := rt.proxied.Load(); got != proxied {
+		t.Fatalf("declared lengths over the cap reached the shard (%d proxied requests)", got-proxied)
+	}
+
+	overCap := io.MultiReader(strings.NewReader(`{"rows":[`), io.LimitReader(spaces{}, server.DefaultMaxBodyBytes))
+	if code := post("/v1/datasets/cap/append", overCap, -1); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("chunked append over the cap: status %d, want 413", code)
+	}
+
+	var shards ShardsResponse
+	if err := c.Do("GET", "/v1/shards", nil, &shards); err != nil {
+		t.Fatal(err)
+	}
+	if !shards.Shards[0].Up {
+		t.Errorf("shard marked down after a client's oversized body: %s", shards.Shards[0].LastError)
+	}
+	if got := rt.proxyErrs.Load(); got != errs {
+		t.Errorf("oversized bodies counted as %d shard proxy error(s)", got-errs)
+	}
+	if _, err := c.Mine("cap", server.MineRequest{K: 2}); err != nil {
+		t.Errorf("mine after the oversized append: %v", err)
 	}
 }

@@ -219,9 +219,10 @@ type HealthResponse struct {
 	CacheMisses int64  `json:"cache_misses"`
 }
 
-// Client is a minimal JSON client for the sirumd API, shared by the load
-// generator, the selftest harness and examples. The zero HTTP client uses
-// http.DefaultClient semantics with no timeout; set one for load runs.
+// Client is a minimal JSON client for the sirumd API, shared by the router,
+// sirumr's migrate subcommand, the benchmark and the tests. The zero HTTP
+// client uses http.DefaultClient semantics with no timeout; set one for
+// load runs.
 type Client struct {
 	BaseURL string
 	HTTP    *http.Client
@@ -269,7 +270,7 @@ func (c *Client) Do(method, path string, in, out any) error {
 }
 
 // The typed shard API: one method per endpoint, shared by the router's
-// control plane, the load generator and the selftests. Data-plane request
+// control plane, the benchmark and the tests. Data-plane request
 // *forwarding* uses DoRaw instead, so a router never re-interprets bodies
 // it only needs to relay.
 

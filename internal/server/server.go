@@ -55,8 +55,8 @@ type Config struct {
 	// 2 × GOMAXPROCS). Requests beyond it queue; they fail with 503 only
 	// when their context is cancelled while waiting.
 	MaxInFlight int
-	// MaxBodyBytes caps a request body (default 64 MiB) so one oversized
-	// CSV or row batch cannot exhaust memory before validation.
+	// MaxBodyBytes caps a request body (default DefaultMaxBodyBytes) so one
+	// oversized CSV or row batch cannot exhaust memory before validation.
 	MaxBodyBytes int64
 	// CacheEntries bounds the result cache: how many recent query
 	// responses are retained for exact-repeat traffic (default 256;
@@ -79,22 +79,21 @@ type Config struct {
 	// (routers dial it; it may differ from the listen address behind NAT or
 	// port mapping). Reported alongside ShardID.
 	Advertise string
-	// Now stamps session creation times (defaults to time.Now; tests pin it).
-	Now func() time.Time
 }
+
+// DefaultMaxBodyBytes is a daemon's request body cap unless
+// Config.MaxBodyBytes sets another, and every router's cap.
+const DefaultMaxBodyBytes = 64 << 20
 
 func (c Config) withDefaults() Config {
 	if c.MaxInFlight <= 0 {
 		c.MaxInFlight = 2 * runtime.GOMAXPROCS(0)
 	}
 	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 64 << 20
+		c.MaxBodyBytes = DefaultMaxBodyBytes
 	}
 	if c.CacheEntries == 0 {
 		c.CacheEntries = 256
-	}
-	if c.Now == nil {
-		c.Now = time.Now
 	}
 	return c
 }
@@ -567,7 +566,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) error {
 		return err
 	}
 	sess, err := s.addSession(req.ID, ds, p, snapshotEntry{m: manifest{
-		CreatedAt: s.conf.Now(),
+		CreatedAt: time.Now(),
 		Generator: req.Generator,
 		Measure:   req.Measure,
 		Ignore:    req.Ignore,

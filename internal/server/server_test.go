@@ -442,48 +442,6 @@ func TestServerCloseRejectsNewWork(t *testing.T) {
 	}
 }
 
-// TestRunLoadReportsLatencies runs the load generator end to end against an
-// in-process daemon: it must verify consistency and produce sane
-// percentiles (the sirumd -selftest path).
-func TestRunLoadReportsLatencies(t *testing.T) {
-	if testing.Short() {
-		t.Skip("load generation is slow")
-	}
-	_, ts := testServer(t, Config{})
-	rep, err := RunLoad(LoadConfig{
-		BaseURL:     ts.URL,
-		Dataset:     "income",
-		Rows:        1200,
-		Queries:     12,
-		Concurrency: 4,
-		K:           2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Errors != 0 {
-		t.Fatalf("load run had %d errors: %s", rep.Errors, rep.FirstError)
-	}
-	if rep.Consistency != "verified" {
-		t.Errorf("consistency = %q", rep.Consistency)
-	}
-	if rep.Throughput <= 0 || rep.P50 <= 0 || rep.P95 < rep.P50 {
-		t.Errorf("implausible report: %+v", rep)
-	}
-	if rep.Mines+rep.Explores != rep.Queries {
-		t.Errorf("query mix %d+%d != %d", rep.Mines, rep.Explores, rep.Queries)
-	}
-
-	// The load session deletes itself.
-	var list ListResponse
-	if status := call(t, "GET", ts.URL+"/v1/datasets", nil, &list); status != http.StatusOK {
-		t.Fatalf("list: status %d", status)
-	}
-	if len(list.Sessions) != 0 {
-		t.Errorf("load generator leaked %d sessions", len(list.Sessions))
-	}
-}
-
 // clearCached strips the cache marker so responses can be compared for
 // deep equality against the originally computed answer.
 func clearCached(r MineResponse) MineResponse {
