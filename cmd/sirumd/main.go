@@ -38,16 +38,12 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"sirum/internal/server"
 )
@@ -89,42 +85,5 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		}
 		fmt.Fprintf(out, "sirumd restored %d sessions from %s\n", n, conf.SnapshotDir)
 	}
-	return serve(ctx, out, srv, *addr)
-}
-
-// serve runs the daemon until ctx is done, then drains: the HTTP server
-// stops accepting and waits for active requests, and the app server waits
-// for admitted queries before closing any prepared session.
-func serve(ctx context.Context, out io.Writer, srv *server.Server, addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		srv.Close()
-		return err
-	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
-	errc := make(chan error, 1)
-	go func() {
-		if err := httpSrv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
-			errc <- err
-		}
-	}()
-	fmt.Fprintf(out, "sirumd listening on %s\n", ln.Addr())
-
-	select {
-	case err := <-errc:
-		srv.Close()
-		return err
-	case <-ctx.Done():
-	}
-	fmt.Fprintln(out, "sirumd draining...")
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	err = httpSrv.Shutdown(shutdownCtx)
-	// Even when the drain timed out, still run the app-level Close: it waits
-	// for the straggler queries (a running mine cannot be cancelled
-	// mid-flight) and then tears sessions and their spill directories down.
-	if cerr := srv.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return server.Serve(ctx, out, "sirumd", *addr, srv.Handler(), srv.Close)
 }

@@ -42,7 +42,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -96,8 +95,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return err
 	}
 	rt.Start()
-	defer rt.Close()
-	return serve(ctx, out, rt, *addr)
+	return server.Serve(ctx, out, "sirumr", *addr, rt.Handler(), rt.Close)
 }
 
 // runMigrate drives POST /v1/shards/{id}/migrate against a running router:
@@ -133,31 +131,4 @@ func runMigrate(args []string, out io.Writer) error {
 		return fmt.Errorf("%d sessions still on shard %s; re-run migrate to resume", resp.Remaining, resp.Shard)
 	}
 	return nil
-}
-
-// serve runs the router until ctx is done. The router holds no sessions,
-// so draining is only the HTTP server's concern.
-func serve(ctx context.Context, out io.Writer, rt *router.Router, addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	httpSrv := &http.Server{Handler: rt.Handler()}
-	errc := make(chan error, 1)
-	go func() {
-		if err := httpSrv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
-			errc <- err
-		}
-	}()
-	fmt.Fprintf(out, "sirumr listening on %s\n", ln.Addr())
-
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	fmt.Fprintln(out, "sirumr draining...")
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	return httpSrv.Shutdown(shutdownCtx)
 }

@@ -358,21 +358,6 @@ func (ds *Dataset) DomainSizes() []int {
 	return out
 }
 
-// PossibleRules returns the size of the full rule space
-// Π_j (|dom(A_j)|+1), saturating at MaxInt64 (the thesis quotes these counts,
-// e.g. 78 million for Income).
-func (ds *Dataset) PossibleRules() int64 {
-	total := int64(1)
-	for _, d := range ds.Dicts {
-		n := int64(d.Size()) + 1
-		if total > (1<<62)/n {
-			return 1 << 62
-		}
-		total *= n
-	}
-	return total
-}
-
 // DimsByDomainSize returns dimension indices sorted by ascending active
 // domain size (ties broken by index); used to pick the "lowest cardinality"
 // group-by queries of the cube-exploration application.

@@ -230,22 +230,6 @@ func TestDomainSizesAndPossibleRules(t *testing.T) {
 			t.Fatalf("DomainSizes = %v, want %v", sizes, want)
 		}
 	}
-	if got := ds.PossibleRules(); got != int64(3*5*4) {
-		t.Errorf("PossibleRules = %d, want 60", got)
-	}
-}
-
-func TestPossibleRulesSaturates(t *testing.T) {
-	b := NewBuilder(Schema{DimNames: make([]string, 40), MeasureName: "m"})
-	for j := 0; j < 40; j++ {
-		for v := 0; v < 100; v++ {
-			b.Dict(j).Code(strings.Repeat("v", v+1))
-		}
-	}
-	ds := &Dataset{Schema: b.ds.Schema, Dicts: b.ds.Dicts, Dims: b.ds.Dims}
-	if got := ds.PossibleRules(); got != 1<<62 {
-		t.Errorf("PossibleRules = %d, want saturation", got)
-	}
 }
 
 func TestDimsByDomainSize(t *testing.T) {

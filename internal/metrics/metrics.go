@@ -125,13 +125,6 @@ func (r *Registry) SimPhase(name string) time.Duration {
 	return r.sim[name]
 }
 
-// Timed runs f and charges its wall-clock duration to the named phase.
-func (r *Registry) Timed(name string, f func()) {
-	start := time.Now()
-	f()
-	r.AddPhase(name, time.Since(start))
-}
-
 // Counters returns a copy of all counters.
 func (r *Registry) Counters() map[string]int64 {
 	r.mu.Lock()

@@ -47,14 +47,6 @@ func TestPhases(t *testing.T) {
 	}
 }
 
-func TestTimed(t *testing.T) {
-	r := NewRegistry()
-	r.Timed("work", func() { time.Sleep(5 * time.Millisecond) })
-	if got := r.Phase("work"); got < 4*time.Millisecond {
-		t.Errorf("Timed recorded %v, want >= ~5ms", got)
-	}
-}
-
 func TestMerge(t *testing.T) {
 	a, b := NewRegistry(), NewRegistry()
 	a.Add("x", 1)

@@ -96,12 +96,6 @@ func Config(k Kind, executors, coresPerExecutor int, memPerExecutor int64) engin
 	}
 }
 
-// NewCluster builds a simulated cluster for the profile (platform profiles
-// are cost models, so they always run on the sim backend).
-func NewCluster(k Kind, executors, coresPerExecutor int, memPerExecutor int64) *engine.SimBackend {
-	return engine.NewSimBackend(Config(k, executors, coresPerExecutor, memPerExecutor))
-}
-
 // ImplSpeedup is the calibration constant relating this repository's
 // per-record compute cost to the thesis' Spark/JVM implementation, estimated
 // at roughly 50x (dictionary-coded columnar Go vs serialized JVM rows).
@@ -125,10 +119,4 @@ func Scale(conf engine.Config, factor float64) engine.Config {
 	conf.NetBandwidth /= ImplSpeedup
 	conf.DiskBandwidth /= ImplSpeedup
 	return conf
-}
-
-// NewScaledCluster builds a simulated cluster with overheads divided by
-// factor.
-func NewScaledCluster(k Kind, executors, coresPerExecutor int, memPerExecutor int64, factor float64) *engine.SimBackend {
-	return engine.NewSimBackend(Scale(Config(k, executors, coresPerExecutor, memPerExecutor), factor))
 }

@@ -19,15 +19,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) error {
 	gauge := func(name, help string, v any, labels string) {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s%s %v\n", name, help, name, name, labels, v)
 	}
-	up := 0
-	for _, sh := range rt.shards {
-		if !sh.down.Load() {
-			up++
-		}
-	}
-	rt.mu.Lock()
-	sessions := len(rt.table)
-	rt.mu.Unlock()
+	up, sessions := rt.counts()
 	gauge("sirumr_shards", "Shards in the configured topology.", len(rt.shards), "")
 	gauge("sirumr_shards_up", "Shards currently passing health checks.", up, "")
 	gauge("sirumr_sessions", "Sessions in the routing table across all shards.", sessions, "")

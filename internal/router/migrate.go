@@ -24,26 +24,17 @@ import (
 // the response itemizes them and Remaining counts the sessions left, so
 // callers re-run to resume rather than guessing from a 5xx.
 func (rt *Router) handleMigrate(w http.ResponseWriter, r *http.Request) error {
-	id := r.PathValue("id")
-	var origin *shard
-	for _, sh := range rt.shards {
-		if sh.label() == id || fmt.Sprintf("s%d", sh.index) == id {
-			origin = sh
-			break
-		}
-	}
-	if origin == nil {
-		return errf(http.StatusNotFound, "unknown shard %q", id)
+	origin, err := rt.shardByID(r.PathValue("id"))
+	if err != nil {
+		return err
 	}
 	if origin.down.Load() {
-		return errf(http.StatusServiceUnavailable, "shard %s is down; migration needs a reachable origin", origin.label())
+		return server.Errorf(http.StatusServiceUnavailable, "shard %s is down; migration needs a reachable origin", origin.label())
 	}
 	origin.draining.Store(true)
 	list, err := origin.client.ListSessions()
 	if err != nil {
-		rt.proxyErrs.Add(1)
-		rt.markDown(origin, err)
-		return errf(http.StatusBadGateway, "shard %s is unreachable: %v", origin.label(), err)
+		return rt.unreachable(origin, err)
 	}
 	resp := MigrateResponse{Shard: origin.label(), Draining: true, Moved: []MigratedSession{}}
 	for _, info := range list.Sessions {
@@ -55,7 +46,7 @@ func (rt *Router) handleMigrate(w http.ResponseWriter, r *http.Request) error {
 		resp.Moved = append(resp.Moved, moved)
 	}
 	resp.Remaining = len(resp.Failed)
-	writeJSON(w, http.StatusOK, resp)
+	server.WriteJSON(w, http.StatusOK, resp)
 	return nil
 }
 
@@ -88,21 +79,21 @@ func (rt *Router) migrateSession(origin *shard, id string) (MigratedSession, err
 		return moved, nil
 	}
 
-	raw, err := rt.forward(origin, http.MethodGet, "/v1/datasets/"+id+"/export", "", nil)
+	raw, err := rt.roundTrip(origin, http.MethodGet, "/v1/datasets/"+id+"/export", nil)
 	if err != nil {
 		return none, err
 	}
 	if raw.Status == http.StatusNotFound {
 		// Deleted between the listing and the export; nothing to move.
 		rt.dropTable(id)
-		return none, errf(http.StatusNotFound, "session %q vanished before export", id)
+		return none, server.Errorf(http.StatusNotFound, "session %q vanished before export", id)
 	}
 	if raw.Status != http.StatusOK {
-		return none, errf(http.StatusBadGateway, "exporting %q from shard %s: status %d", id, origin.label(), raw.Status)
+		return none, server.Errorf(http.StatusBadGateway, "exporting %q from shard %s: status %d", id, origin.label(), raw.Status)
 	}
 	var doc server.ExportDocument
 	if err := json.Unmarshal(raw.Body, &doc); err != nil {
-		return none, errf(http.StatusBadGateway, "exporting %q from shard %s: %v", id, origin.label(), err)
+		return none, server.Errorf(http.StatusBadGateway, "exporting %q from shard %s: %v", id, origin.label(), err)
 	}
 
 	dest, err := rt.placeAway(id, doc)
@@ -110,25 +101,25 @@ func (rt *Router) migrateSession(origin *shard, id string) (MigratedSession, err
 		return none, err
 	}
 	// The export bytes forward verbatim — re-encoding could only corrupt.
-	imp, err := rt.forward(dest, http.MethodPost, "/v1/datasets/import", "application/json", raw.Body)
+	imp, err := rt.roundTrip(dest, http.MethodPost, "/v1/datasets/import", raw.Body)
 	if err != nil {
 		return none, err
 	}
 	if imp.Status != http.StatusCreated && imp.Status != http.StatusOK {
 		var e server.ErrorResponse
 		json.Unmarshal(imp.Body, &e)
-		return none, errf(http.StatusBadGateway, "importing %q on shard %s: status %d: %s", id, dest.label(), imp.Status, e.Error)
+		return none, server.Errorf(http.StatusBadGateway, "importing %q on shard %s: status %d: %s", id, dest.label(), imp.Status, e.Error)
 	}
 	var info server.SessionInfo
 	if err := json.Unmarshal(imp.Body, &info); err != nil {
-		return none, errf(http.StatusBadGateway, "importing %q on shard %s: %v", id, dest.label(), err)
+		return none, server.Errorf(http.StatusBadGateway, "importing %q on shard %s: %v", id, dest.label(), err)
 	}
 	// The destination verified the rebuild against the export header
 	// before committing; check its answer anyway — a cutover on an
 	// unverified copy would silently serve the wrong data, the one
 	// failure mode migration must never have.
 	if info.Stats == nil || info.Stats.Fingerprint != doc.Fingerprint || info.Stats.Epoch < doc.Epoch {
-		return none, errf(http.StatusBadGateway,
+		return none, server.Errorf(http.StatusBadGateway,
 			"importing %q on shard %s: destination does not match export header (fingerprint %s epoch %d)",
 			id, dest.label(), doc.Fingerprint, doc.Epoch)
 	}
@@ -161,13 +152,13 @@ func (rt *Router) placeAway(id string, doc server.ExportDocument) (*shard, error
 	} else {
 		ds, err := doc.RoutingSpec()
 		if err != nil {
-			return nil, errf(http.StatusBadGateway, "routing key for %q: %v", id, err)
+			return nil, server.Errorf(http.StatusBadGateway, "routing key for %q: %v", id, err)
 		}
 		key = spec.RoutingKey(ds)
 	}
 	sh, err := rt.place(key)
 	if err != nil {
-		return nil, errf(http.StatusServiceUnavailable, "no shard can accept %q: every other shard is down or draining", id)
+		return nil, server.Errorf(http.StatusServiceUnavailable, "no shard can accept %q: every other shard is down or draining", id)
 	}
 	return sh, nil
 }
@@ -175,7 +166,7 @@ func (rt *Router) placeAway(id string, doc server.ExportDocument) (*shard, error
 // deleteOrigin removes the origin's copy after (or during a resumed)
 // cutover. 404 means a previous attempt already deleted it.
 func (rt *Router) deleteOrigin(origin *shard, id string) error {
-	raw, err := rt.forward(origin, http.MethodDelete, "/v1/datasets/"+id, "", nil)
+	raw, err := rt.roundTrip(origin, http.MethodDelete, "/v1/datasets/"+id, nil)
 	if err != nil {
 		return err
 	}
@@ -184,7 +175,7 @@ func (rt *Router) deleteOrigin(origin *shard, id string) error {
 		origin.sessions.Add(-1)
 	case http.StatusNotFound:
 	default:
-		return errf(http.StatusBadGateway, "deleting %q from shard %s: status %d", id, origin.label(), raw.Status)
+		return server.Errorf(http.StatusBadGateway, "deleting %q from shard %s: status %d", id, origin.label(), raw.Status)
 	}
 	return nil
 }

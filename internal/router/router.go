@@ -19,6 +19,15 @@
 // sessions fail fast with 502/503 JSON errors while every other shard
 // serves unimpeded; a shard restarted from its -snapshot directory is
 // marked up again and its sessions resume at their prior epochs.
+//
+// Every per-session request (get, delete, export, mine, explore, append)
+// is relayed byte for byte through forward, the router's one way to reach
+// a shard, built on the shard client's DoStream; creates and migration
+// steps read the shard's answer whole from the same stream (roundTrip).
+// Router-made errors go through the daemon's own error surface
+// (server.Wrap, server.Errorf, server.WriteJSON), so a client cannot tell
+// a router error from a shard error by shape.
+//
 // GET /v1/datasets merges the healthy shards' listings; GET /v1/metrics
 // rolls their metric families up into one document, per-shard series
 // labelled by shard.
@@ -162,18 +171,18 @@ func New(conf Config) (*Router, error) {
 		sh.id.Store(fmt.Sprintf("s%d", i))
 		rt.shards = append(rt.shards, sh)
 	}
-	rt.mux.HandleFunc("POST /v1/datasets", rt.wrap(rt.handleCreate))
-	rt.mux.HandleFunc("GET /v1/datasets", rt.wrap(rt.handleList))
-	rt.mux.HandleFunc("GET /v1/datasets/{id}", rt.wrap(rt.handleSession))
-	rt.mux.HandleFunc("DELETE /v1/datasets/{id}", rt.wrap(rt.handleSession))
-	rt.mux.HandleFunc("POST /v1/datasets/{id}/{op}", rt.wrap(rt.handleSession))
-	rt.mux.HandleFunc("GET /v1/datasets/{id}/export", rt.wrap(rt.handleExportProxy))
-	rt.mux.HandleFunc("GET /v1/metrics", rt.wrap(rt.handleMetrics))
-	rt.mux.HandleFunc("GET /v1/healthz", rt.wrap(rt.handleHealth))
-	rt.mux.HandleFunc("GET /v1/shards", rt.wrap(rt.handleShards))
-	rt.mux.HandleFunc("POST /v1/shards/{id}/drain", rt.wrap(rt.handleDrain(true)))
-	rt.mux.HandleFunc("POST /v1/shards/{id}/undrain", rt.wrap(rt.handleDrain(false)))
-	rt.mux.HandleFunc("POST /v1/shards/{id}/migrate", rt.wrap(rt.handleMigrate))
+	rt.mux.HandleFunc("POST /v1/datasets", server.Wrap(rt.handleCreate))
+	rt.mux.HandleFunc("GET /v1/datasets", server.Wrap(rt.handleList))
+	rt.mux.HandleFunc("GET /v1/datasets/{id}", server.Wrap(rt.handleSession))
+	rt.mux.HandleFunc("DELETE /v1/datasets/{id}", server.Wrap(rt.handleSession))
+	rt.mux.HandleFunc("POST /v1/datasets/{id}/{op}", server.Wrap(rt.handleSession))
+	rt.mux.HandleFunc("GET /v1/datasets/{id}/export", server.Wrap(rt.handleSession))
+	rt.mux.HandleFunc("GET /v1/metrics", server.Wrap(rt.handleMetrics))
+	rt.mux.HandleFunc("GET /v1/healthz", server.Wrap(rt.handleHealth))
+	rt.mux.HandleFunc("GET /v1/shards", server.Wrap(rt.handleShards))
+	rt.mux.HandleFunc("POST /v1/shards/{id}/drain", server.Wrap(rt.handleDrain(true)))
+	rt.mux.HandleFunc("POST /v1/shards/{id}/undrain", server.Wrap(rt.handleDrain(false)))
+	rt.mux.HandleFunc("POST /v1/shards/{id}/migrate", server.Wrap(rt.handleMigrate))
 	rt.CheckHealth()
 	rt.Resync()
 	return rt, nil
@@ -356,7 +365,7 @@ func (rt *Router) place(key [32]byte) (*shard, error) {
 			return sh, nil
 		}
 	}
-	return nil, errf(http.StatusServiceUnavailable, "no healthy shard accepts new sessions")
+	return nil, server.Errorf(http.StatusServiceUnavailable, "no healthy shard accepts new sessions")
 }
 
 // locate resolves a session id to its home shard, resyncing the table once
@@ -475,42 +484,7 @@ func (rt *Router) lockGate(id string, exclusive bool) (release func()) {
 	}
 }
 
-// apiError, errf, writeJSON and wrap mirror the shard daemon's uniform
-// JSON error surface, so clients cannot tell a router error from a shard
-// error by shape.
-type apiError struct {
-	status int
-	msg    string
-}
-
-func (e *apiError) Error() string { return e.msg }
-
-func errf(status int, format string, args ...any) error {
-	return &apiError{status: status, msg: fmt.Sprintf(format, args...)}
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	enc.Encode(v)
-}
-
-func (rt *Router) wrap(h func(w http.ResponseWriter, r *http.Request) error) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if err := h(w, r); err != nil {
-			status, msg := http.StatusInternalServerError, err.Error()
-			var ae *apiError
-			if errors.As(err, &ae) {
-				status, msg = ae.status, ae.msg
-			}
-			writeJSON(w, status, server.ErrorResponse{Error: msg})
-		}
-	}
-}
-
-var errBodyTooLarge = errf(http.StatusRequestEntityTooLarge, "request body over %d bytes", server.DefaultMaxBodyBytes)
+var errBodyTooLarge = server.Errorf(http.StatusRequestEntityTooLarge, "request body over %d bytes", server.DefaultMaxBodyBytes)
 
 // capBody puts r's body under the router's size cap, the shard daemons'
 // own default cap. A declared length over it is refused before a byte is
@@ -529,33 +503,10 @@ func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, erro
 		return nil, err
 	}
 	body, err := io.ReadAll(cr)
-	if cr.tooLarge {
-		return nil, errBodyTooLarge
-	}
 	if err != nil {
-		return nil, errf(http.StatusBadRequest, "reading request body: %v", err)
+		return nil, cr.clientErr()
 	}
 	return body, nil
-}
-
-// relay writes a shard's raw response through unchanged.
-func relay(w http.ResponseWriter, raw *server.RawResponse) {
-	if raw.ContentType != "" {
-		w.Header().Set("Content-Type", raw.ContentType)
-	}
-	w.WriteHeader(raw.Status)
-	w.Write(raw.Body)
-}
-
-// relayStream copies a shard's streaming response through unchanged, without
-// ever holding the body in memory.
-func relayStream(w http.ResponseWriter, resp *server.StreamResponse) {
-	defer resp.Body.Close()
-	if resp.ContentType != "" {
-		w.Header().Set("Content-Type", resp.ContentType)
-	}
-	w.WriteHeader(resp.Status)
-	io.Copy(w, resp.Body)
 }
 
 // capReader streams a request body through the router's size cap, recording
@@ -581,49 +532,78 @@ func (cr *capReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// forward proxies one request to a shard, converting transport failures
-// into a mark-down plus a 502 — the shard is unreachable, which is not the
-// client's fault and not a router bug.
-func (rt *Router) forward(sh *shard, method, path, contentType string, body []byte) (*server.RawResponse, error) {
-	raw, err := sh.client.DoRaw(method, path, contentType, body)
-	if err != nil {
-		rt.proxyErrs.Add(1)
-		rt.markDown(sh, err)
-		return nil, errf(http.StatusBadGateway, "shard %s is unreachable: %v", sh.label(), err)
+// clientErr is the client's part in a failed upload: 413 when the cap
+// fired, 400 when the client's body stream died, nil when neither did.
+func (cr *capReader) clientErr() error {
+	switch {
+	case cr.tooLarge:
+		return errBodyTooLarge
+	case cr.readErr != nil:
+		return server.Errorf(http.StatusBadRequest, "reading request body: %v", cr.readErr)
 	}
-	rt.proxied.Add(1)
-	return raw, nil
+	return nil
 }
 
-// forwardStream proxies one request to a shard end to end without buffering:
-// the client body streams up (under the size cap carried by body, when set)
-// and the shard response streams back. Transport failures mark the shard
-// down exactly like forward — unless the failure was the client's: a
-// cap-aborted upload answers 413 and a client body stream that died
-// mid-upload answers 400, neither touching the shard's health.
-func (rt *Router) forwardStream(sh *shard, method, path, contentType string, body *capReader, length int64) (*server.StreamResponse, error) {
-	var rd io.Reader
-	if body != nil {
-		rd = body
-	}
-	resp, err := sh.client.DoStream(method, path, contentType, rd, length)
+// forward sends one request to a shard over the client's DoStream: the
+// router's one way to reach a shard. The caller owns the response body and
+// either relays it or reads it whole with roundTrip. A transport failure
+// marks the shard down and answers 502 — unless it was the client's: an
+// upload through a capReader that hit the cap answers 413, and one whose
+// client stream died mid-upload answers 400, neither touching the shard's
+// health (a dropped client connection must not take a healthy shard out
+// of rotation).
+func (rt *Router) forward(sh *shard, method, path, contentType string, body io.Reader, length int64) (*server.StreamResponse, error) {
+	resp, err := sh.client.DoStream(method, path, contentType, body, length)
 	if err != nil {
-		if body != nil && body.tooLarge {
-			return nil, errBodyTooLarge
+		if cr, ok := body.(*capReader); ok {
+			if cerr := cr.clientErr(); cerr != nil {
+				return nil, cerr
+			}
 		}
-		if body != nil && body.readErr != nil {
-			// The shard connection held; the *client's* body stream died
-			// mid-upload. That is not the shard's fault — marking it down
-			// would take a healthy shard out of rotation on every dropped
-			// client connection.
-			return nil, errf(http.StatusBadRequest, "reading request body: %v", body.readErr)
-		}
-		rt.proxyErrs.Add(1)
-		rt.markDown(sh, err)
-		return nil, errf(http.StatusBadGateway, "shard %s is unreachable: %v", sh.label(), err)
+		return nil, rt.unreachable(sh, err)
 	}
 	rt.proxied.Add(1)
 	return resp, nil
+}
+
+// roundTrip is forward with both bodies whole, for the steps that act on
+// the shard's answer (creates and each migration step). A body the shard
+// cuts short is a transport failure like any other: the shard is marked
+// down and the caller gets 502, never a truncated answer.
+func (rt *Router) roundTrip(sh *shard, method, path string, body []byte) (*server.RawResponse, error) {
+	var rd io.Reader
+	contentType := ""
+	if body != nil {
+		rd, contentType = bytes.NewReader(body), "application/json"
+	}
+	resp, err := rt.forward(sh, method, path, contentType, rd, int64(len(body)))
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	buf, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, rt.unreachable(sh, err)
+	}
+	return &server.RawResponse{Status: resp.Status, ContentType: resp.ContentType, Body: buf}, nil
+}
+
+// unreachable marks sh down after a transport failure and returns the 502
+// the client gets: the shard is unreachable, which is not the client's
+// fault and not a router bug.
+func (rt *Router) unreachable(sh *shard, err error) error {
+	rt.proxyErrs.Add(1)
+	rt.markDown(sh, err)
+	return server.Errorf(http.StatusBadGateway, "shard %s is unreachable: %v", sh.label(), err)
+}
+
+// relay writes a shard's answer through unchanged.
+func relay(w http.ResponseWriter, status int, contentType string, body io.Reader) {
+	if contentType != "" {
+		w.Header().Set("Content-Type", contentType)
+	}
+	w.WriteHeader(status)
+	io.Copy(w, body)
 }
 
 func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) error {
@@ -635,26 +615,26 @@ func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) error {
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		return errf(http.StatusBadRequest, "bad request body: %v", err)
+		return server.Errorf(http.StatusBadRequest, "bad request body: %v", err)
 	}
 
 	if req.ID == "" {
 		return rt.createAutoID(w, req)
 	}
-	if !server.ValidSessionID(req.ID) {
-		return errf(http.StatusBadRequest, "session id %q: want 1-64 chars of [A-Za-z0-9._-], starting alphanumeric", req.ID)
+	if err := server.CheckSessionID(req.ID); err != nil {
+		return err
 	}
 	rt.mu.Lock()
 	_, exists := rt.table[req.ID]
 	rt.mu.Unlock()
 	if exists {
-		return errf(http.StatusConflict, "dataset %q already exists", req.ID)
+		return server.Errorf(http.StatusConflict, "dataset %q already exists", req.ID)
 	}
 	ds, err := req.DatasetSpec()
 	if err != nil {
 		// Every DatasetSpec failure is a malformed source description;
 		// the shard would reject it with 400 too, just one hop later.
-		return errf(http.StatusBadRequest, "%v", err)
+		return server.Errorf(http.StatusBadRequest, "%v", err)
 	}
 	key := spec.RoutingKey(ds)
 	// A named create whose home shard is down must wait, not fall
@@ -664,7 +644,7 @@ func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) error {
 	// (Draining is different — a draining shard is reachable and its
 	// sessions are in the table, so the successor is safe.)
 	if home := rt.shards[rt.ring.walk(key)[0]]; home.down.Load() {
-		return errf(http.StatusServiceUnavailable,
+		return server.Errorf(http.StatusServiceUnavailable,
 			"home shard %s for dataset %q is down; retry when it returns", home.label(), req.ID)
 	}
 
@@ -673,15 +653,11 @@ func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) error {
 		return err
 	}
 	// Explicit-id bodies forward byte-identical.
-	raw, err := rt.forward(sh, "POST", "/v1/datasets", "application/json", body)
+	raw, err := rt.create(sh, req.ID, body)
 	if err != nil {
 		return err
 	}
-	if raw.Status == http.StatusCreated {
-		rt.setTable(req.ID, sh)
-		sh.sessions.Add(1)
-	}
-	relay(w, raw)
+	relay(w, raw.Status, raw.ContentType, bytes.NewReader(raw.Body))
 	return nil
 }
 
@@ -702,34 +678,39 @@ func (rt *Router) createAutoID(w http.ResponseWriter, req server.CreateRequest) 
 		if err != nil {
 			return err
 		}
-		raw, err := rt.forward(sh, "POST", "/v1/datasets", "application/json", body)
+		raw, err := rt.create(sh, req.ID, body)
 		if err != nil {
 			return err
 		}
 		if raw.Status == http.StatusConflict && attempt < 16 {
 			continue
 		}
-		if raw.Status == http.StatusCreated {
-			rt.setTable(req.ID, sh)
-			sh.sessions.Add(1)
-		}
-		relay(w, raw)
+		relay(w, raw.Status, raw.ContentType, bytes.NewReader(raw.Body))
 		return nil
 	}
 }
 
-// handleSession proxies every per-session operation — get, delete, mine,
-// explore, append — to the session's home shard.
+// create sends a create body to sh and, when the shard made the session,
+// files it in the table under id.
+func (rt *Router) create(sh *shard, id string, body []byte) (*server.RawResponse, error) {
+	raw, err := rt.roundTrip(sh, http.MethodPost, "/v1/datasets", body)
+	if err == nil && raw.Status == http.StatusCreated {
+		rt.setTable(id, sh)
+		sh.sessions.Add(1)
+	}
+	return raw, err
+}
+
+// handleSession proxies every per-session operation — get, delete, export,
+// mine, explore, append — to the session's home shard.
 func (rt *Router) handleSession(w http.ResponseWriter, r *http.Request) error {
 	id := r.PathValue("id")
-	path := "/v1/datasets/" + id
-	op := r.PathValue("op")
-	switch op {
-	case "":
-	case "mine", "explore", "append":
-		path += "/" + op
+	// POST names its operation by wildcard; GET reaches here only for the
+	// session itself and its export.
+	switch op := r.PathValue("op"); op {
+	case "", "mine", "explore", "append":
 	default:
-		return errf(http.StatusNotFound, "unknown operation %q", op)
+		return server.Errorf(http.StatusNotFound, "unknown operation %q", op)
 	}
 	// Every session operation takes the migration gate shared, *before*
 	// the table lookup: a migration holds it exclusively across its
@@ -740,32 +721,35 @@ func (rt *Router) handleSession(w http.ResponseWriter, r *http.Request) error {
 	// the origin until cutover. The ungated precheck answers unknown ids
 	// without touching the gate map.
 	if rt.locate(id) == nil {
-		return errf(http.StatusNotFound, "unknown dataset %q", id)
+		return server.Errorf(http.StatusNotFound, "unknown dataset %q", id)
 	}
 	defer rt.lockGate(id, false)()
 	sh := rt.locate(id)
 	if sh == nil {
-		return errf(http.StatusNotFound, "unknown dataset %q", id)
+		return server.Errorf(http.StatusNotFound, "unknown dataset %q", id)
 	}
 	if sh.down.Load() {
-		return errf(http.StatusServiceUnavailable, "dataset %q lives on shard %s, which is marked down", id, sh.label())
+		return server.Errorf(http.StatusServiceUnavailable, "dataset %q lives on shard %s, which is marked down", id, sh.label())
 	}
 	// Session operations are pure relays: the router never interprets the
 	// bodies, so both directions stream instead of buffering whole payloads
 	// (appends can carry megabytes of rows, mines return full rule lists).
-	var body *capReader
+	var body io.Reader
 	length := int64(-1)
 	if r.Method == http.MethodPost {
-		var err error
-		if body, err = capBody(w, r); err != nil {
+		cr, err := capBody(w, r)
+		if err != nil {
 			return err
 		}
-		length = r.ContentLength
+		body, length = cr, r.ContentLength
 	}
-	resp, err := rt.forwardStream(sh, r.Method, path, r.Header.Get("Content-Type"), body, length)
+	// The shard serves the router's paths, and an id the table knows is in
+	// the path-safe session alphabet, so the request path forwards as is.
+	resp, err := rt.forward(sh, r.Method, r.URL.Path, r.Header.Get("Content-Type"), body, length)
 	if err != nil {
 		return err
 	}
+	defer resp.Body.Close()
 	switch {
 	case r.Method == http.MethodDelete && resp.Status == http.StatusNoContent:
 		rt.dropTable(id)
@@ -776,34 +760,7 @@ func (rt *Router) handleSession(w http.ResponseWriter, r *http.Request) error {
 		// so the next lookup resyncs instead of bouncing off it forever.
 		rt.dropTable(id)
 	}
-	relayStream(w, resp)
-	return nil
-}
-
-// handleExportProxy relays GET /v1/datasets/{id}/export to the session's
-// home shard, so operators can pull a migration document through the
-// router (migrateSession itself talks to the origin shard directly).
-func (rt *Router) handleExportProxy(w http.ResponseWriter, r *http.Request) error {
-	id := r.PathValue("id")
-	if rt.locate(id) == nil {
-		return errf(http.StatusNotFound, "unknown dataset %q", id)
-	}
-	defer rt.lockGate(id, false)()
-	sh := rt.locate(id)
-	if sh == nil {
-		return errf(http.StatusNotFound, "unknown dataset %q", id)
-	}
-	if sh.down.Load() {
-		return errf(http.StatusServiceUnavailable, "dataset %q lives on shard %s, which is marked down", id, sh.label())
-	}
-	resp, err := rt.forwardStream(sh, http.MethodGet, "/v1/datasets/"+id+"/export", "", nil, -1)
-	if err != nil {
-		return err
-	}
-	if resp.Status == http.StatusNotFound {
-		rt.dropTable(id)
-	}
-	relayStream(w, resp)
+	relay(w, resp.Status, resp.ContentType, resp.Body)
 	return nil
 }
 
@@ -812,17 +769,25 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) error {
 	if merged == nil {
 		merged = []server.SessionInfo{}
 	}
-	writeJSON(w, http.StatusOK, server.ListResponse{Sessions: merged})
+	server.WriteJSON(w, http.StatusOK, server.ListResponse{Sessions: merged})
 	return nil
 }
 
-func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) error {
-	up := 0
+// counts reads how many shards are up and how many sessions the table
+// holds.
+func (rt *Router) counts() (up, sessions int) {
 	for _, sh := range rt.shards {
 		if !sh.down.Load() {
 			up++
 		}
 	}
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	return up, len(rt.table)
+}
+
+func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) error {
+	up, sessions := rt.counts()
 	status := "ok"
 	switch {
 	case up == 0:
@@ -830,10 +795,7 @@ func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) error {
 	case up < len(rt.shards):
 		status = "degraded"
 	}
-	rt.mu.Lock()
-	sessions := len(rt.table)
-	rt.mu.Unlock()
-	writeJSON(w, http.StatusOK, HealthResponse{
+	server.WriteJSON(w, http.StatusOK, HealthResponse{
 		Status:      status,
 		Shards:      len(rt.shards),
 		ShardsUp:    up,
@@ -861,7 +823,7 @@ func (rt *Router) shardInfos() []ShardInfo {
 }
 
 func (rt *Router) handleShards(w http.ResponseWriter, r *http.Request) error {
-	writeJSON(w, http.StatusOK, ShardsResponse{Shards: rt.shardInfos()})
+	server.WriteJSON(w, http.StatusOK, ShardsResponse{Shards: rt.shardInfos()})
 	return nil
 }
 
@@ -870,14 +832,22 @@ func (rt *Router) handleShards(w http.ResponseWriter, r *http.Request) error {
 // graceful half of decommissioning.
 func (rt *Router) handleDrain(drain bool) func(w http.ResponseWriter, r *http.Request) error {
 	return func(w http.ResponseWriter, r *http.Request) error {
-		id := r.PathValue("id")
-		for _, sh := range rt.shards {
-			if sh.label() == id || fmt.Sprintf("s%d", sh.index) == id {
-				sh.draining.Store(drain)
-				writeJSON(w, http.StatusOK, rt.shardInfos()[sh.index])
-				return nil
-			}
+		sh, err := rt.shardByID(r.PathValue("id"))
+		if err != nil {
+			return err
 		}
-		return errf(http.StatusNotFound, "unknown shard %q", id)
+		sh.draining.Store(drain)
+		server.WriteJSON(w, http.StatusOK, rt.shardInfos()[sh.index])
+		return nil
 	}
+}
+
+// shardByID resolves a shard by its logical id or by "s<index>".
+func (rt *Router) shardByID(id string) (*shard, error) {
+	for _, sh := range rt.shards {
+		if sh.label() == id || fmt.Sprintf("s%d", sh.index) == id {
+			return sh, nil
+		}
+	}
+	return nil, server.Errorf(http.StatusNotFound, "unknown shard %q", id)
 }

@@ -31,6 +31,7 @@ type testShard struct {
 	addr string
 	base string
 	c    *server.Client
+	wrap func(http.Handler) http.Handler // nil: the daemon's handler as is
 }
 
 // startShardOn serves a fresh server.New(conf) on addr ("127.0.0.1:0"
@@ -38,6 +39,14 @@ type testShard struct {
 // conf.SnapshotDir when set. Rebinding a just-freed port can race the
 // kernel, so it retries briefly.
 func startShardOn(t *testing.T, addr string, conf server.Config) *testShard {
+	t.Helper()
+	return startWrappedShard(t, addr, conf, nil)
+}
+
+// startWrappedShard is startShardOn with the daemon's handler passed
+// through wrap (when non-nil) — the hook fault tests use to slow a shard or
+// cut its responses short.
+func startWrappedShard(t *testing.T, addr string, conf server.Config, wrap func(http.Handler) http.Handler) *testShard {
 	t.Helper()
 	var ln net.Listener
 	var err error
@@ -56,13 +65,18 @@ func startShardOn(t *testing.T, addr string, conf server.Config) *testShard {
 			t.Fatalf("restoring shard snapshot: %v", err)
 		}
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	h := srv.Handler()
+	if wrap != nil {
+		h = wrap(h)
+	}
+	hs := &http.Server{Handler: h}
 	go hs.Serve(ln)
 	base := "http://" + ln.Addr().String()
 	return &testShard{
 		conf: conf, srv: srv, hs: hs,
 		addr: ln.Addr().String(), base: base,
-		c: &server.Client{BaseURL: base, HTTP: &http.Client{Timeout: time.Minute}},
+		c:    &server.Client{BaseURL: base, HTTP: &http.Client{Timeout: time.Minute}},
+		wrap: wrap,
 	}
 }
 
@@ -78,7 +92,7 @@ func (s *testShard) kill() {
 // epochs.
 func (s *testShard) restart(t *testing.T) *testShard {
 	t.Helper()
-	return startShardOn(t, s.addr, s.conf)
+	return startWrappedShard(t, s.addr, s.conf, s.wrap)
 }
 
 // cluster is N shards plus a router serving them over httptest.
@@ -94,6 +108,13 @@ type cluster struct {
 // deterministic under -race.
 func newCluster(t *testing.T, n int, snapshots bool) *cluster {
 	t.Helper()
+	return newWrappedCluster(t, n, snapshots, nil)
+}
+
+// newWrappedCluster is newCluster with shard i's handler passed through
+// wrap(i) when wrap is non-nil.
+func newWrappedCluster(t *testing.T, n int, snapshots bool, wrap func(i int) func(http.Handler) http.Handler) *cluster {
+	t.Helper()
 	cl := &cluster{}
 	bases := make([]string, 0, n)
 	for i := 0; i < n; i++ {
@@ -101,7 +122,11 @@ func newCluster(t *testing.T, n int, snapshots bool) *cluster {
 		if snapshots {
 			conf.SnapshotDir = t.TempDir()
 		}
-		sh := startShardOn(t, "127.0.0.1:0", conf)
+		var w func(http.Handler) http.Handler
+		if wrap != nil {
+			w = wrap(i)
+		}
+		sh := startWrappedShard(t, "127.0.0.1:0", conf, w)
 		cl.shards = append(cl.shards, sh)
 		bases = append(bases, sh.base)
 	}

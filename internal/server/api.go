@@ -68,7 +68,7 @@ type CreateRequest struct {
 func (req CreateRequest) sourceSpec() (spec.DatasetSpec, error) {
 	switch {
 	case req.Generator != nil && req.CSV != "":
-		return spec.DatasetSpec{}, errf(http.StatusBadRequest, "use either generator or csv, not both")
+		return spec.DatasetSpec{}, Errorf(http.StatusBadRequest, "use either generator or csv, not both")
 	case req.Generator != nil:
 		g := *req.Generator
 		if g.Rows <= 0 {
@@ -82,7 +82,7 @@ func (req CreateRequest) sourceSpec() (spec.DatasetSpec, error) {
 		}}, nil
 	case req.CSV != "":
 		if req.Measure == "" {
-			return spec.DatasetSpec{}, errf(http.StatusBadRequest, "measure is required with csv")
+			return spec.DatasetSpec{}, Errorf(http.StatusBadRequest, "measure is required with csv")
 		}
 		ignore := append([]string(nil), req.Ignore...)
 		sort.Strings(ignore)
@@ -95,7 +95,7 @@ func (req CreateRequest) sourceSpec() (spec.DatasetSpec, error) {
 			Ignore:  ignore,
 		}}, nil
 	default:
-		return spec.DatasetSpec{}, errf(http.StatusBadRequest, "one of generator or csv is required")
+		return spec.DatasetSpec{}, Errorf(http.StatusBadRequest, "one of generator or csv is required")
 	}
 }
 
@@ -232,47 +232,36 @@ type Client struct {
 // out (when non-nil) receives the decoded response. Error responses decode
 // the uniform ErrorResponse body into the returned error.
 func (c *Client) Do(method, path string, in, out any) error {
-	var body io.Reader
+	var body []byte
+	contentType := ""
 	if in != nil {
-		buf, err := json.Marshal(in)
-		if err != nil {
+		var err error
+		if body, err = json.Marshal(in); err != nil {
 			return err
 		}
-		body = bytes.NewReader(buf)
+		contentType = "application/json"
 	}
-	req, err := http.NewRequest(method, c.BaseURL+path, body)
+	raw, err := c.DoRaw(method, path, contentType, body)
 	if err != nil {
 		return err
 	}
-	if in != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	hc := c.HTTP
-	if hc == nil {
-		hc = http.DefaultClient
-	}
-	resp, err := hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 400 {
+	if raw.Status >= 400 {
 		var apiErr ErrorResponse
-		if json.NewDecoder(resp.Body).Decode(&apiErr) == nil && apiErr.Error != "" {
-			return fmt.Errorf("%s %s: %s (%d)", method, path, apiErr.Error, resp.StatusCode)
+		if json.NewDecoder(bytes.NewReader(raw.Body)).Decode(&apiErr) == nil && apiErr.Error != "" {
+			return fmt.Errorf("%s %s: %s (%d)", method, path, apiErr.Error, raw.Status)
 		}
-		return fmt.Errorf("%s %s: status %d", method, path, resp.StatusCode)
+		return fmt.Errorf("%s %s: status %d", method, path, raw.Status)
 	}
 	if out != nil {
-		return json.NewDecoder(resp.Body).Decode(out)
+		return json.NewDecoder(bytes.NewReader(raw.Body)).Decode(out)
 	}
 	return nil
 }
 
 // The typed shard API: one method per endpoint, shared by the router's
 // control plane, the benchmark and the tests. Data-plane request
-// *forwarding* uses DoRaw instead, so a router never re-interprets bodies
-// it only needs to relay.
+// *forwarding* uses DoStream instead, so a router never re-interprets
+// bodies it only needs to relay.
 
 // CreateSession registers a prepared session and returns its info.
 func (c *Client) CreateSession(req CreateRequest) (SessionInfo, error) {
@@ -363,27 +352,15 @@ type RawResponse struct {
 	Body        []byte
 }
 
-// DoRaw performs one round trip without interpreting the response: any HTTP
-// status comes back as a RawResponse for the caller to relay verbatim, and
-// the returned error is reserved for transport failures — the signal a
-// router uses to mark a shard down.
+// DoRaw is DoStream with both bodies whole: any HTTP status comes back as a
+// RawResponse for the caller to relay verbatim, and the returned error is
+// reserved for transport failures, a response body cut short included.
 func (c *Client) DoRaw(method, path, contentType string, body []byte) (*RawResponse, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
-	req, err := http.NewRequest(method, c.BaseURL+path, rd)
-	if err != nil {
-		return nil, err
-	}
-	if contentType != "" {
-		req.Header.Set("Content-Type", contentType)
-	}
-	hc := c.HTTP
-	if hc == nil {
-		hc = http.DefaultClient
-	}
-	resp, err := hc.Do(req)
+	resp, err := c.DoStream(method, path, contentType, rd, int64(len(body)))
 	if err != nil {
 		return nil, err
 	}
@@ -392,11 +369,7 @@ func (c *Client) DoRaw(method, path, contentType string, body []byte) (*RawRespo
 	if err != nil {
 		return nil, err
 	}
-	return &RawResponse{
-		Status:      resp.StatusCode,
-		ContentType: resp.Header.Get("Content-Type"),
-		Body:        buf,
-	}, nil
+	return &RawResponse{Status: resp.Status, ContentType: resp.ContentType, Body: buf}, nil
 }
 
 // StreamResponse is one in-flight HTTP exchange: status and content type are
@@ -410,10 +383,11 @@ type StreamResponse struct {
 
 // DoStream performs one round trip without buffering either direction: body
 // (when non-nil) streams to the server, and the response body streams back
-// to the caller. Like DoRaw, any HTTP status is returned as a response and
-// the error is reserved for transport failures. Content length may be passed
-// via length (use -1 when unknown) so fixed-size relays avoid chunked
-// encoding.
+// to the caller. It is the client's one request path; Do and DoRaw are built
+// on it. Any HTTP status is returned as a response and the error is reserved
+// for transport failures — the signal a router uses to mark a shard down.
+// Content length may be passed via length (use -1 when unknown) so
+// fixed-size relays avoid chunked encoding.
 func (c *Client) DoStream(method, path, contentType string, body io.Reader, length int64) (*StreamResponse, error) {
 	req, err := http.NewRequest(method, c.BaseURL+path, body)
 	if err != nil {

@@ -56,10 +56,10 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) error {
 	sess.journalMu.Lock()
 	defer sess.journalMu.Unlock()
 	if sess.dropped {
-		return errf(http.StatusNotFound, "unknown dataset %q", sess.id)
+		return Errorf(http.StatusNotFound, "unknown dataset %q", sess.id)
 	}
 	ds := sess.p.DatasetSpec()
-	writeJSON(w, http.StatusOK, ExportDocument{
+	WriteJSON(w, http.StatusOK, ExportDocument{
 		Manifest:    sess.m,
 		CSV:         sess.csv,
 		Appends:     append([]appendRecord(nil), sess.appends...),
@@ -81,8 +81,8 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) error {
 		return err
 	}
 	id := doc.Manifest.ID
-	if !validSessionID(id) {
-		return errf(http.StatusBadRequest, "session id %q: want 1-64 chars of [A-Za-z0-9._-], starting alphanumeric", id)
+	if err := CheckSessionID(id); err != nil {
+		return err
 	}
 	if sess, err := s.lookup(id); err == nil {
 		return s.importExisting(w, sess, doc)
@@ -101,7 +101,7 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) error {
 	got := p.DatasetSpec()
 	if fp := spec.Hex(got.Fingerprint()); fp != doc.Fingerprint || got.Epoch != doc.Epoch || got.Chain != doc.Chain {
 		p.Close()
-		return errf(http.StatusConflict,
+		return Errorf(http.StatusConflict,
 			"import of %q failed verification: rebuilt fingerprint=%s epoch=%d chain=%s, export header fingerprint=%s epoch=%d chain=%s",
 			id, fp, got.Epoch, got.Chain, doc.Fingerprint, doc.Epoch, doc.Chain)
 	}
@@ -123,10 +123,10 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) error {
 	if snap != nil {
 		if err := s.journalSession(snap, sess); err != nil {
 			s.dropSession(sess.id)
-			return errf(http.StatusInternalServerError, "journaling imported session: %v", err)
+			return Errorf(http.StatusInternalServerError, "journaling imported session: %v", err)
 		}
 	}
-	writeJSON(w, http.StatusCreated, s.info(sess, true))
+	WriteJSON(w, http.StatusCreated, s.info(sess, true))
 	return nil
 }
 
@@ -139,8 +139,8 @@ func (s *Server) importExisting(w http.ResponseWriter, sess *session, doc Export
 	match := spec.Hex(ds.Fingerprint()) == doc.Fingerprint &&
 		(ds.Epoch > doc.Epoch || (ds.Epoch == doc.Epoch && ds.Chain == doc.Chain))
 	if !match {
-		return errf(http.StatusConflict, "dataset %q already exists with different content", sess.id)
+		return Errorf(http.StatusConflict, "dataset %q already exists with different content", sess.id)
 	}
-	writeJSON(w, http.StatusOK, s.info(sess, true))
+	WriteJSON(w, http.StatusOK, s.info(sess, true))
 	return nil
 }

@@ -14,6 +14,8 @@
 //	POST   /v1/datasets/{id}/mine     one mining query
 //	POST   /v1/datasets/{id}/explore  one data-cube exploration query
 //	POST   /v1/datasets/{id}/append   fold new rows in, refit/re-mine
+//	GET    /v1/datasets/{id}/export   migration document
+//	POST   /v1/datasets/import        rebuild a session from one
 //	GET    /v1/metrics             Prometheus-style text metrics
 //	GET    /v1/healthz             liveness and load counters
 //
@@ -29,6 +31,11 @@
 // An admission-control semaphore bounds the queries executing at once;
 // excess requests queue until a slot frees or their context is cancelled.
 // Close drains in-flight queries before tearing sessions down.
+//
+// Mine and explore share one cacheable-query path (query). The package
+// also holds what the router shares with the daemon: the error surface
+// (Wrap, Errorf, WriteJSON), the client (whose every request goes through
+// Client.DoStream) and the serve loop both daemons run (Serve).
 package server
 
 import (
@@ -36,6 +43,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"regexp"
 	"runtime"
@@ -102,10 +111,15 @@ func (c Config) withDefaults() Config {
 // snapshot files and metric labels, not just map keys.
 var validSessionID = regexp.MustCompile(`^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$`).MatchString
 
-// ValidSessionID reports whether id is acceptable as a session name: 1-64
+// CheckSessionID refuses, with 400, an id that cannot name a session: 1-64
 // chars of [A-Za-z0-9._-], starting alphanumeric. Routers apply the same
 // rule before placing a create, so an invalid id is rejected without a hop.
-func ValidSessionID(id string) bool { return validSessionID(id) }
+func CheckSessionID(id string) error {
+	if !validSessionID(id) {
+		return Errorf(http.StatusBadRequest, "session id %q: want 1-64 chars of [A-Za-z0-9._-], starting alphanumeric", id)
+	}
+	return nil
+}
 
 // Server is the daemon state: the session registry, the result cache and
 // admission control. Create with New, optionally Restore from a snapshot
@@ -183,17 +197,17 @@ func New(conf Config) *Server {
 		// would have journaled (see persistence()).
 		s.snap, s.snapErr = newSnapshotter(conf.SnapshotDir, !conf.NoFsync)
 	}
-	s.mux.HandleFunc("POST /v1/datasets", s.wrap(s.handleCreate))
-	s.mux.HandleFunc("GET /v1/datasets", s.wrap(s.handleList))
-	s.mux.HandleFunc("GET /v1/datasets/{id}", s.wrap(s.handleGet))
-	s.mux.HandleFunc("DELETE /v1/datasets/{id}", s.wrap(s.handleDelete))
-	s.mux.HandleFunc("POST /v1/datasets/{id}/mine", s.wrap(s.handleMine))
-	s.mux.HandleFunc("POST /v1/datasets/{id}/explore", s.wrap(s.handleExplore))
-	s.mux.HandleFunc("POST /v1/datasets/{id}/append", s.wrap(s.handleAppend))
-	s.mux.HandleFunc("GET /v1/datasets/{id}/export", s.wrap(s.handleExport))
-	s.mux.HandleFunc("POST /v1/datasets/import", s.wrap(s.handleImport))
-	s.mux.HandleFunc("GET /v1/metrics", s.wrap(s.handleMetrics))
-	s.mux.HandleFunc("GET /v1/healthz", s.wrap(s.handleHealth))
+	s.mux.HandleFunc("POST /v1/datasets", Wrap(s.handleCreate))
+	s.mux.HandleFunc("GET /v1/datasets", Wrap(s.handleList))
+	s.mux.HandleFunc("GET /v1/datasets/{id}", Wrap(s.handleGet))
+	s.mux.HandleFunc("DELETE /v1/datasets/{id}", Wrap(s.handleDelete))
+	s.mux.HandleFunc("POST /v1/datasets/{id}/mine", Wrap(s.handleMine))
+	s.mux.HandleFunc("POST /v1/datasets/{id}/explore", Wrap(s.handleExplore))
+	s.mux.HandleFunc("POST /v1/datasets/{id}/append", Wrap(s.handleAppend))
+	s.mux.HandleFunc("GET /v1/datasets/{id}/export", Wrap(s.handleExport))
+	s.mux.HandleFunc("POST /v1/datasets/import", Wrap(s.handleImport))
+	s.mux.HandleFunc("GET /v1/metrics", Wrap(s.handleMetrics))
+	s.mux.HandleFunc("GET /v1/healthz", Wrap(s.handleHealth))
 	return s
 }
 
@@ -300,6 +314,47 @@ func (s *Server) Close() error {
 	return firstErr
 }
 
+// Serve is the daemons' one serve loop: it listens on addr, prints
+// "<name> listening on <address>" to out and serves h until ctx is done.
+// Then it prints "<name> draining...", stops accepting, waits up to 30 s
+// for active requests and runs drain last — even after a timed-out
+// shutdown, since drain is what waits out the stragglers (a running mine
+// cannot be cancelled mid-flight). A failed listen or serve runs drain too.
+func Serve(ctx context.Context, out io.Writer, name, addr string, h http.Handler, drain func() error) error {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		drain()
+		return err
+	}
+	hs := &http.Server{Handler: h}
+	errc := make(chan error, 1)
+	go func() {
+		if err := hs.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
+			errc <- err
+		}
+	}()
+	fmt.Fprintf(out, "%s listening on %s\n", name, ln.Addr())
+	select {
+	case err := <-errc:
+		drain()
+		return err
+	case <-ctx.Done():
+	}
+	fmt.Fprintf(out, "%s draining...\n", name)
+	shutdownCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	err = hs.Shutdown(shutdownCtx)
+	if derr := drain(); err == nil {
+		err = derr
+	}
+	return err
+}
+
+// The daemon's error surface, shared with the router so the two cannot
+// drift: a handler returns an error, Wrap maps it to a status and writes
+// the uniform ErrorResponse body through WriteJSON. Errorf makes an error
+// that carries its status.
+
 // apiError carries an HTTP status with a message.
 type apiError struct {
 	status int
@@ -308,7 +363,9 @@ type apiError struct {
 
 func (e *apiError) Error() string { return e.msg }
 
-func errf(status int, format string, args ...any) error {
+// Errorf returns an error that Wrap answers with status and the formatted
+// message.
+func Errorf(status int, format string, args ...any) error {
 	return &apiError{status: status, msg: fmt.Sprintf(format, args...)}
 }
 
@@ -336,18 +393,19 @@ func mapError(err error) (int, string) {
 	return http.StatusInternalServerError, msg
 }
 
-// wrap adapts an error-returning handler to http.HandlerFunc with uniform
+// Wrap adapts an error-returning handler to http.HandlerFunc with uniform
 // JSON error mapping.
-func (s *Server) wrap(h func(w http.ResponseWriter, r *http.Request) error) http.HandlerFunc {
+func Wrap(h func(w http.ResponseWriter, r *http.Request) error) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if err := h(w, r); err != nil {
 			status, msg := mapError(err)
-			writeJSON(w, status, ErrorResponse{Error: msg})
+			WriteJSON(w, status, ErrorResponse{Error: msg})
 		}
 	}
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v as a JSON body with status.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	//sirum:allow pinnedencode control-plane envelope only (errors, listings, health); result bodies stream via writeOpenBody
@@ -362,9 +420,9 @@ func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) error
 	if err := dec.Decode(v); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
-			return errf(http.StatusRequestEntityTooLarge, "request body over %d bytes", tooLarge.Limit)
+			return Errorf(http.StatusRequestEntityTooLarge, "request body over %d bytes", tooLarge.Limit)
 		}
-		return errf(http.StatusBadRequest, "bad request body: %v", err)
+		return Errorf(http.StatusBadRequest, "bad request body: %v", err)
 	}
 	return nil
 }
@@ -375,7 +433,7 @@ func (s *Server) admit(ctx context.Context) (release func(), err error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return nil, errf(http.StatusServiceUnavailable, "server is shutting down")
+		return nil, Errorf(http.StatusServiceUnavailable, "server is shutting down")
 	}
 	s.inflight.Add(1)
 	s.mu.Unlock()
@@ -391,7 +449,7 @@ func (s *Server) admit(ctx context.Context) (release func(), err error) {
 	case <-ctx.Done():
 		s.inflight.Done()
 		s.rejected.Add(1)
-		return nil, errf(http.StatusServiceUnavailable, "query queue full: %v", ctx.Err())
+		return nil, Errorf(http.StatusServiceUnavailable, "query queue full: %v", ctx.Err())
 	}
 }
 
@@ -401,7 +459,7 @@ func (s *Server) lookup(id string) (*session, error) {
 	defer s.mu.Unlock()
 	sess, ok := s.sessions[id]
 	if !ok {
-		return nil, errf(http.StatusNotFound, "unknown dataset %q", id)
+		return nil, Errorf(http.StatusNotFound, "unknown dataset %q", id)
 	}
 	return sess, nil
 }
@@ -415,7 +473,7 @@ func (s *Server) persistence() (*snapshotter, error) {
 		return nil, nil
 	}
 	if s.snap == nil {
-		return nil, errf(http.StatusInternalServerError, "session persistence unavailable: %v", s.snapErr)
+		return nil, Errorf(http.StatusInternalServerError, "session persistence unavailable: %v", s.snapErr)
 	}
 	return s.snap, nil
 }
@@ -458,17 +516,17 @@ func buildDataset(req CreateRequest) (*sirum.Dataset, error) {
 // buildBatch assembles an append batch against a session's schema.
 func buildBatch(ds *sirum.Dataset, rows []RowJSON) (*sirum.Dataset, error) {
 	if len(rows) == 0 {
-		return nil, errf(http.StatusBadRequest, "rows is required")
+		return nil, Errorf(http.StatusBadRequest, "rows is required")
 	}
 	b := sirum.NewBuilder(ds.DimNames(), ds.MeasureName())
 	for i, row := range rows {
 		if err := b.Add(row.Dims, row.Measure); err != nil {
-			return nil, errf(http.StatusBadRequest, "row %d: %v", i, err)
+			return nil, Errorf(http.StatusBadRequest, "row %d: %v", i, err)
 		}
 	}
 	batch, err := b.Build()
 	if err != nil {
-		return nil, errf(http.StatusBadRequest, "building batch: %v", err)
+		return nil, Errorf(http.StatusBadRequest, "building batch: %v", err)
 	}
 	return batch, nil
 }
@@ -484,7 +542,7 @@ func (s *Server) addSession(id string, ds *sirum.Dataset, p *sirum.Prepared, e s
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return nil, errf(http.StatusServiceUnavailable, "server is shutting down")
+		return nil, Errorf(http.StatusServiceUnavailable, "server is shutting down")
 	}
 	if id == "" {
 		for {
@@ -495,7 +553,7 @@ func (s *Server) addSession(id string, ds *sirum.Dataset, p *sirum.Prepared, e s
 			}
 		}
 	} else if _, exists := s.sessions[id]; exists {
-		return nil, errf(http.StatusConflict, "dataset %q already exists", id)
+		return nil, Errorf(http.StatusConflict, "dataset %q already exists", id)
 	}
 	e.m.ID = id
 	e.m.CSVFile = ""
@@ -541,8 +599,10 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) error {
 	if err := s.decodeJSON(w, r, &req); err != nil {
 		return err
 	}
-	if req.ID != "" && !validSessionID(req.ID) {
-		return errf(http.StatusBadRequest, "session id %q: want 1-64 chars of [A-Za-z0-9._-], starting alphanumeric", req.ID)
+	if req.ID != "" {
+		if err := CheckSessionID(req.ID); err != nil {
+			return err
+		}
 	}
 	// Preparation is the heaviest work the daemon does (load, partition,
 	// sample, index); it takes an admission slot like any query so a burst
@@ -579,10 +639,10 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) error {
 	if snap != nil {
 		if err := s.journalSession(snap, sess); err != nil {
 			s.dropSession(sess.id)
-			return errf(http.StatusInternalServerError, "journaling session: %v", err)
+			return Errorf(http.StatusInternalServerError, "journaling session: %v", err)
 		}
 	}
-	writeJSON(w, http.StatusCreated, s.info(sess, false))
+	WriteJSON(w, http.StatusCreated, s.info(sess, false))
 	return nil
 }
 
@@ -629,7 +689,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) error {
 	for _, sess := range sessions {
 		resp.Sessions = append(resp.Sessions, s.info(sess, false))
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 	return nil
 }
 
@@ -649,7 +709,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	writeJSON(w, http.StatusOK, s.info(sess, true))
+	WriteJSON(w, http.StatusOK, s.info(sess, true))
 	return nil
 }
 
@@ -657,7 +717,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) error {
 	id := r.PathValue("id")
 	ok, err := s.dropSession(id)
 	if !ok {
-		return errf(http.StatusNotFound, "unknown dataset %q", id)
+		return Errorf(http.StatusNotFound, "unknown dataset %q", id)
 	}
 	if err != nil {
 		return err
@@ -678,55 +738,53 @@ func (req MineRequest) options() sirum.Options {
 }
 
 func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) error {
-	sess, err := s.lookup(r.PathValue("id"))
-	if err != nil {
-		return err
-	}
 	var req MineRequest
-	if err := s.decodeJSON(w, r, &req); err != nil {
-		return err
-	}
-	opts := req.options()
-	dsSpec, qSpec, err := sess.p.MineSpec(opts)
-	if err != nil {
-		return err
-	}
-	key := cacheKey{session: sess.key, chain: dsSpec.Chain, query: qSpec.Fingerprint()}
-	if v, ok := s.cacheGet(key); ok {
-		sess.queries.Add(1)
-		writeOpenBody(w, http.StatusOK, v.([]byte), true)
-		return nil
-	}
-	release, err := s.admit(r.Context())
-	if err != nil {
-		return err
-	}
-	defer release()
-	sess.queries.Add(1)
-	res, err := sess.p.Mine(opts)
-	if err != nil {
-		return err
-	}
-	body, err := appendMineOpen(res)
-	if err != nil {
-		return err
-	}
-	s.cachePut(sess, key, body)
-	writeOpenBody(w, http.StatusOK, body, false)
-	return nil
+	return s.query(w, r, &req, func(p *sirum.Prepared) (spec.DatasetSpec, spec.QuerySpec, func() ([]byte, error), error) {
+		opts := req.options()
+		ds, q, err := p.MineSpec(opts)
+		return ds, q, func() ([]byte, error) {
+			res, err := p.Mine(opts)
+			if err != nil {
+				return nil, err
+			}
+			return appendMineOpen(res)
+		}, err
+	})
 }
 
 func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) error {
+	var req ExploreRequest
+	return s.query(w, r, &req, func(p *sirum.Prepared) (spec.DatasetSpec, spec.QuerySpec, func() ([]byte, error), error) {
+		opts := sirum.ExploreOptions{K: req.K, GroupBys: req.GroupBys, Seed: req.Seed}
+		ds, q := p.ExploreSpec(opts)
+		return ds, q, func() ([]byte, error) {
+			res, err := p.Explore(opts)
+			if err != nil {
+				return nil, err
+			}
+			return appendExploreOpen(res.Prior, res.Result)
+		}, nil
+	})
+}
+
+// query serves one cacheable query, a mine or an explore: look the session
+// up, decode req, key the query by its canonical specs, answer a cache hit
+// before admission, else admit, run, encode and cache. plan reads the
+// decoded req and returns the query's specs and the run that encodes its
+// answer.
+func (s *Server) query(w http.ResponseWriter, r *http.Request, req any,
+	plan func(*sirum.Prepared) (spec.DatasetSpec, spec.QuerySpec, func() ([]byte, error), error)) error {
 	sess, err := s.lookup(r.PathValue("id"))
 	if err != nil {
 		return err
 	}
-	var req ExploreRequest
-	if err := s.decodeJSON(w, r, &req); err != nil {
+	if err := s.decodeJSON(w, r, req); err != nil {
 		return err
 	}
-	opts := sirum.ExploreOptions{K: req.K, GroupBys: req.GroupBys, Seed: req.Seed}
-	dsSpec, qSpec := sess.p.ExploreSpec(opts)
+	dsSpec, qSpec, run, err := plan(sess.p)
+	if err != nil {
+		return err
+	}
 	key := cacheKey{session: sess.key, chain: dsSpec.Chain, query: qSpec.Fingerprint()}
 	if v, ok := s.cacheGet(key); ok {
 		sess.queries.Add(1)
@@ -739,11 +797,7 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) error {
 	}
 	defer release()
 	sess.queries.Add(1)
-	res, err := sess.p.Explore(opts)
-	if err != nil {
-		return err
-	}
-	body, err := appendExploreOpen(res.Prior, res.Result)
+	body, err := run()
 	if err != nil {
 		return err
 	}
@@ -780,7 +834,7 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) error {
 	sess.journalMu.Lock()
 	if sess.dropped {
 		sess.journalMu.Unlock()
-		return errf(http.StatusConflict, "dataset %q was deleted", sess.id)
+		return Errorf(http.StatusConflict, "dataset %q was deleted", sess.id)
 	}
 	res, err := sess.p.Append(batch, req.options())
 	if err == nil {
@@ -790,7 +844,7 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) error {
 			if jerr := snap.appendBatch(sess.id, rec); jerr != nil {
 				// The append is applied in memory but not durable; tell the
 				// client rather than silently diverging from the journal.
-				err = errf(http.StatusInternalServerError, "append applied but not journaled: %v", jerr)
+				err = Errorf(http.StatusInternalServerError, "append applied but not journaled: %v", jerr)
 			}
 		}
 	}
@@ -822,6 +876,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) error {
 		resp.CacheHits = cs.hits
 		resp.CacheMisses = cs.misses
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 	return nil
 }

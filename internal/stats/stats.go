@@ -88,46 +88,6 @@ func BernoulliSample(r *rand.Rand, n int, p float64) []int {
 	return out
 }
 
-// Summary holds descriptive statistics of a float64 slice.
-type Summary struct {
-	N             int
-	Mean, Std     float64
-	Min, Max      float64
-	P50, P90, P99 float64
-	Sum           float64
-}
-
-// Summarize computes descriptive statistics. It returns the zero Summary for
-// empty input.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	s := Summary{N: len(xs), Min: math.Inf(1), Max: math.Inf(-1)}
-	for _, x := range xs {
-		s.Sum += x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.Mean = s.Sum / float64(s.N)
-	var ss float64
-	for _, x := range xs {
-		d := x - s.Mean
-		ss += d * d
-	}
-	s.Std = math.Sqrt(ss / float64(s.N))
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	s.P50 = Percentile(sorted, 0.50)
-	s.P90 = Percentile(sorted, 0.90)
-	s.P99 = Percentile(sorted, 0.99)
-	return s
-}
-
 // Percentile returns the p-quantile (0 <= p <= 1) of an already-sorted slice
 // using nearest-rank interpolation.
 func Percentile(sorted []float64, p float64) float64 {
@@ -160,17 +120,4 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// TrimmedMean drops the single highest and single lowest value and averages
-// the rest, matching the thesis' "repeat five times, drop highest and lowest,
-// average the remaining three" protocol. With fewer than 3 values it falls
-// back to the plain mean.
-func TrimmedMean(xs []float64) float64 {
-	if len(xs) < 3 {
-		return Mean(xs)
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return Mean(sorted[1 : len(sorted)-1])
 }
